@@ -14,7 +14,9 @@
 // answer includes that segment finds it in at least one of the shards the
 // query's own footprint routes to, and duplicate deletion of the cloned
 // hits restores the exact single-index answer.  See
-// docs/PRIMITIVES.md ("Sharded routing & exact merge").
+// docs/PRIMITIVES.md ("Sharded routing & exact merge", and its "Failure
+// domains and exact-merge degradation" for what happens when a shard's
+// answer goes missing).
 
 #include <cstddef>
 #include <vector>

@@ -1,28 +1,22 @@
 #include "serve/cache.hpp"
 
-#include <bit>
-#include <cmath>
+#include <optional>
 
 #include "dpv/fault.hpp"  // dpv::mix64
+#include "serve/kinds.hpp"
 
 namespace dps::serve {
 
 namespace {
 
-/// Exact-match bit pattern of a coordinate with -0.0 folded to 0.0, so the
-/// two representations of zero share one key.
-std::uint64_t canon_bits(double d) noexcept {
-  return std::bit_cast<std::uint64_t>(d == 0.0 ? 0.0 : d);
-}
-
-double bits_to_double(std::uint64_t b) noexcept {
-  return std::bit_cast<double>(b);
-}
-
 /// Past this many dirty rects a sweep would test every entry against a
 /// long list for little gain; collapse to the MBR union instead (coarser
 /// but still conservative).
 constexpr std::size_t kMaxDirtyRects = 64;
+
+const KindOps& ops_of(const ResultCache::Key& key) noexcept {
+  return kind_ops(static_cast<RequestKind>(key.kind));
+}
 
 }  // namespace
 
@@ -41,33 +35,7 @@ ResultCache::Key ResultCache::canonical_key(const Request& rq) noexcept {
   Key key;
   key.kind = static_cast<std::uint8_t>(rq.kind);
   key.index = static_cast<std::uint8_t>(rq.index);
-  switch (rq.kind) {
-    case RequestKind::kWindow:
-      key.g0 = canon_bits(rq.window.xmin);
-      key.g1 = canon_bits(rq.window.ymin);
-      key.g2 = canon_bits(rq.window.xmax);
-      key.g3 = canon_bits(rq.window.ymax);
-      break;
-    case RequestKind::kPoint:
-      key.g0 = canon_bits(rq.point.x);
-      key.g1 = canon_bits(rq.point.y);
-      break;
-    case RequestKind::kNearest:
-      key.g0 = canon_bits(rq.point.x);
-      key.g1 = canon_bits(rq.point.y);
-      key.k = rq.k;
-      break;
-    case RequestKind::kAggregate:
-      key.g0 = canon_bits(rq.window.xmin);
-      key.g1 = canon_bits(rq.window.ymin);
-      key.g2 = canon_bits(rq.window.xmax);
-      key.g3 = canon_bits(rq.window.ymax);
-      break;
-    case RequestKind::kJoin:
-      // A join answer depends only on the two mounted maps: no geometry
-      // payload reaches the key.
-      break;
-  }
+  kind_ops(rq.kind).canonical_key(rq, key);
   return key;
 }
 
@@ -82,10 +50,7 @@ bool ResultCache::lookup(const Key& key, Response& out) {
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  out.ids = it->second->ids;
-  out.neighbors = it->second->neighbors;
-  out.aggregate = it->second->aggregate;
-  out.pairs = it->second->pairs;
+  ops_of(key).take(out, it->second->payload);
   out.status = Status::kOk;
   ++stats_.hits;
   return true;
@@ -94,24 +59,7 @@ bool ResultCache::lookup(const Key& key, Response& out) {
 void ResultCache::insert(const Key& key, const Response& rsp) {
   if (!usable() || rsp.status != Status::kOk) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second->ids = rsp.ids;
-    it->second->neighbors = rsp.neighbors;
-    it->second->aggregate = rsp.aggregate;
-    it->second->pairs = rsp.pairs;
-    it->second->epoch = epoch_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(
-      Entry{key, epoch_, rsp.ids, rsp.neighbors, rsp.aggregate, rsp.pairs});
-  map_[key] = lru_.begin();
-  while (map_.size() > opts_.capacity) {
-    map_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  store(key, rsp);
 }
 
 void ResultCache::insert(const Key& key, const Response& rsp,
@@ -119,19 +67,19 @@ void ResultCache::insert(const Key& key, const Response& rsp,
   if (!usable() || rsp.status != Status::kOk) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (version_ != if_version) return;  // an invalidation intervened
-  const auto it = map_.find(key);
+  store(key, rsp);
+}
+
+void ResultCache::store(const Key& key, const Response& rsp) {
+  auto it = map_.find(key);
   if (it != map_.end()) {
-    it->second->ids = rsp.ids;
-    it->second->neighbors = rsp.neighbors;
-    it->second->aggregate = rsp.aggregate;
-    it->second->pairs = rsp.pairs;
     it->second->epoch = epoch_;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+  } else {
+    lru_.push_front(Entry{key, epoch_, {}});
+    it = map_.emplace(key, lru_.begin()).first;
   }
-  lru_.push_front(
-      Entry{key, epoch_, rsp.ids, rsp.neighbors, rsp.aggregate, rsp.pairs});
-  map_[key] = lru_.begin();
+  ops_of(key).take(it->second->payload, rsp);
   while (map_.size() > opts_.capacity) {
     map_.erase(lru_.back().key);
     lru_.pop_back();
@@ -147,45 +95,6 @@ void ResultCache::bump_epoch() {
   stats_.epoch_flush += map_.size();
   map_.clear();
   lru_.clear();
-}
-
-geom::Rect ResultCache::entry_footprint(const Entry& e,
-                                        bool* unbounded) noexcept {
-  *unbounded = false;
-  switch (static_cast<RequestKind>(e.key.kind)) {
-    case RequestKind::kWindow:
-      return geom::Rect{bits_to_double(e.key.g0), bits_to_double(e.key.g1),
-                        bits_to_double(e.key.g2), bits_to_double(e.key.g3)};
-    case RequestKind::kPoint:
-      return geom::Rect::of_point(
-          {bits_to_double(e.key.g0), bits_to_double(e.key.g1)});
-    case RequestKind::kNearest: {
-      if (e.neighbors.size() < e.key.k) {
-        // Fewer than k lines existed: any insert anywhere can join the
-        // answer, so the entry has no bounded footprint.
-        *unbounded = true;
-        return geom::Rect::empty();
-      }
-      // Neighbors are stored in canonical ascending (distance^2, id)
-      // order, so the kth (last) one carries the answer's radius.  Any
-      // segment affecting the top-k comes within that radius of the query
-      // point, and therefore its MBR meets this disk-bounding rect.
-      const double x = bits_to_double(e.key.g0);
-      const double y = bits_to_double(e.key.g1);
-      const double r = std::sqrt(e.neighbors.back().distance2);
-      return geom::Rect{x - r, y - r, x + r, y + r};
-    }
-    case RequestKind::kAggregate:
-      // The aggregate depends only on lines meeting the window.
-      return geom::Rect{bits_to_double(e.key.g0), bits_to_double(e.key.g1),
-                        bits_to_double(e.key.g2), bits_to_double(e.key.g3)};
-    case RequestKind::kJoin:
-      // Any changed base line can gain or lose probe partners anywhere.
-      *unbounded = true;
-      return geom::Rect::empty();
-  }
-  *unbounded = true;
-  return geom::Rect::empty();
 }
 
 std::size_t ResultCache::invalidate_delta(
@@ -204,11 +113,11 @@ std::size_t ResultCache::invalidate_delta(
   ++version_;  // even a sweep that drops nothing fences stale fills
   std::size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
-    bool unbounded = false;
-    const geom::Rect fp = entry_footprint(*it, &unbounded);
-    bool hit = unbounded;
+    const std::optional<geom::Rect> fp =
+        ops_of(it->key).entry_footprint(it->key, it->payload);
+    bool hit = !fp.has_value();  // unbounded entries always drop
     for (std::size_t i = 0; !hit && i < region.size(); ++i) {
-      hit = fp.intersects(region[i]);
+      hit = fp->intersects(region[i]);
     }
     if (hit) {
       map_.erase(it->key);

@@ -17,16 +17,11 @@
 //     generation that produced it.
 //   * `invalidate_delta` (every live update) drops only the entries whose
 //     *footprint* intersects the dirty region -- the union of the update's
-//     delta MBRs.  An entry's footprint over-approximates the geometry its
-//     answer depends on: the window rect itself, the degenerate rect of a
-//     point query, for k-nearest the bounding rect of the disk around
-//     the query point whose radius is the cached kth distance (unbounded
-//     -- always dropped -- when the map held fewer than k lines), for a
-//     range aggregate its window rect, and for a map-vs-map join no
-//     bounded footprint at all (any update anywhere can change the join,
-//     so join entries are always dropped).  A changed segment outside the
-//     footprint can intersect neither the query region nor the top-k
-//     disk, so surviving entries stay exact.
+//     delta MBRs.  An entry's footprint (KindOps::entry_footprint, defined
+//     per request kind in serve/kinds.cpp) over-approximates the geometry
+//     its answer depends on, or is unbounded (always dropped), so a
+//     changed segment outside it cannot change the answer and surviving
+//     entries stay exact.
 //
 // Both paths advance the cache *version*, which closes the stale-fill
 // race: a serve() that read the pre-update indexes passes the version it
@@ -102,9 +97,9 @@ class ResultCache {
   /// accounting -- entirely for an unusable cache.
   bool enabled() const noexcept { return usable(); }
 
-  /// Copies the cached kOk payload for `key` into `out` (ids or
-  /// neighbors, per the request kind) and refreshes its recency.  False =
-  /// miss; `out` is untouched.
+  /// Copies the cached kOk payload for `key` into `out` (the payload field
+  /// of the request kind) and refreshes its recency.  False = miss; `out`
+  /// is untouched.
   bool lookup(const Key& key, Response& out);
 
   /// Memoizes a kOk response's payload under `key` at the current epoch.
@@ -124,8 +119,8 @@ class ResultCache {
 
   /// Delta-scoped invalidation: drops exactly the entries whose footprint
   /// intersects any rect of `dirty` (closed-rect semantics, like the rest
-  /// of the geometry layer), plus every unbounded k-nearest entry.  Called
-  /// by the cluster *after* the updated generations publish, so a
+  /// of the geometry layer), plus every entry with an unbounded footprint.
+  /// Called by the cluster *after* the updated generations publish, so a
   /// concurrent reader either sees the new indexes or its stale fill is
   /// version-rejected.  Returns the number of entries dropped.  Oversized
   /// dirty lists collapse to their MBR union (still conservative).
@@ -141,17 +136,14 @@ class ResultCache {
   struct Entry {
     Key key;
     std::uint64_t epoch = 0;
-    std::vector<geom::LineId> ids;
-    std::vector<core::Neighbor> neighbors;
-    core::WindowAggregate aggregate;
-    std::vector<std::pair<geom::LineId, geom::LineId>> pairs;
+    Response payload;  // only the kind's payload field is filled
   };
 
   bool usable() const noexcept { return opts_.enabled && opts_.capacity > 0; }
 
-  /// Answer footprint of a cached entry (see the header comment); sets
-  /// `*unbounded` for a k-nearest entry holding fewer than k neighbors.
-  static geom::Rect entry_footprint(const Entry& e, bool* unbounded) noexcept;
+  /// Fills or refreshes `key`'s entry at the current epoch and evicts past
+  /// capacity; the caller holds `mutex_`.
+  void store(const Key& key, const Response& rsp);
 
   CacheOptions opts_;
   mutable std::mutex mutex_;

@@ -7,9 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/nearest.hpp"
-#include "core/query.hpp"
 #include "core/validate.hpp"
+#include "serve/kinds.hpp"
 
 namespace dps::serve {
 
@@ -17,81 +16,6 @@ namespace {
 
 double us_since(Clock::time_point t) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t).count();
-}
-
-/// Per-request geometry gate, identical to the engine's.
-Status validate_request(const Request& rq) noexcept {
-  switch (rq.kind) {
-    case RequestKind::kWindow:
-      return core::validate_window(rq.window) ? Status::kInvalidArgument
-                                              : Status::kOk;
-    case RequestKind::kPoint:
-      return core::validate_point(rq.point) ? Status::kInvalidArgument
-                                            : Status::kOk;
-    case RequestKind::kNearest:
-      return core::validate_nearest(rq.point, rq.k) ? Status::kInvalidArgument
-                                                    : Status::kOk;
-    case RequestKind::kAggregate:
-      return core::validate_window(rq.window) ? Status::kInvalidArgument
-                                              : Status::kOk;
-    case RequestKind::kJoin:
-      // No geometry payload; the probe-map gate runs at routing time.
-      return Status::kOk;
-  }
-  return Status::kInvalidArgument;
-}
-
-/// Sorted-union duplicate deletion over concatenated per-shard id lists:
-/// a segment cloned into several routed shards reports once, like the
-/// single-engine answer.  Returns the clones removed.
-std::uint64_t merge_ids(std::vector<geom::LineId>& ids) {
-  std::sort(ids.begin(), ids.end());
-  const auto last = std::unique(ids.begin(), ids.end());
-  const auto removed =
-      static_cast<std::uint64_t>(std::distance(last, ids.end()));
-  ids.erase(last, ids.end());
-  return removed;
-}
-
-/// Global k-nearest re-rank: duplicate-delete cloned hits by id (keeping
-/// each id's smallest distance, matching the single tree that holds every
-/// q-edge), then order by (distance^2, id) -- the canonical order
-/// core::k_nearest produces -- and truncate to k.
-std::uint64_t merge_neighbors(std::vector<core::Neighbor>& pool,
-                              std::size_t k) {
-  std::sort(pool.begin(), pool.end(),
-            [](const core::Neighbor& a, const core::Neighbor& b) {
-              return a.id != b.id ? a.id < b.id : a.distance2 < b.distance2;
-            });
-  const auto last = std::unique(pool.begin(), pool.end(),
-                                [](const core::Neighbor& a,
-                                   const core::Neighbor& b) {
-                                  return a.id == b.id;
-                                });
-  const auto removed =
-      static_cast<std::uint64_t>(std::distance(last, pool.end()));
-  pool.erase(last, pool.end());
-  std::sort(pool.begin(), pool.end(),
-            [](const core::Neighbor& a, const core::Neighbor& b) {
-              return a.distance2 != b.distance2 ? a.distance2 < b.distance2
-                                                : a.id < b.id;
-            });
-  if (pool.size() > k) pool.resize(k);
-  return removed;
-}
-
-/// Sorted-union duplicate deletion over concatenated per-shard join pair
-/// lists.  Each shard's list is already sorted unique (the join kernels'
-/// contract), so sorting the concatenation and deleting duplicates yields
-/// exactly the single-engine list.  Returns the clones removed.
-std::uint64_t merge_pairs(
-    std::vector<std::pair<geom::LineId, geom::LineId>>& pairs) {
-  std::sort(pairs.begin(), pairs.end());
-  const auto last = std::unique(pairs.begin(), pairs.end());
-  const auto removed =
-      static_cast<std::uint64_t>(std::distance(last, pairs.end()));
-  pairs.erase(last, pairs.end());
-  return removed;
 }
 
 /// Absolute wait budget for a subrequest job: the earliest request
@@ -175,6 +99,11 @@ struct Cluster::ReplicaState {
   std::uint64_t crashes = 0;
   std::uint64_t hedges = 0;
   std::uint64_t breaker_skips = 0;
+
+  void count(std::uint64_t ReplicaState::*counter, std::uint64_t n = 1) {
+    std::lock_guard<std::mutex> lk(mutex);
+    this->*counter += n;
+  }
 };
 
 /// One dispatched subrequest (primary or hedge).  Held via shared_ptr by
@@ -208,6 +137,15 @@ struct Cluster::SubJob {
   bool timed_out = false;
   bool lost_hedge = false;
 
+  /// Gives up on the job: its engine batch is cancelled and a late reply
+  /// dropped; `why` records the reason.
+  void abandon(bool SubJob::*why) noexcept {
+    cancel.store(true, std::memory_order_relaxed);
+    abandoned.store(true, std::memory_order_release);
+    resolved = true;
+    this->*why = true;
+  }
+
   /// True when the merge may consume this job's responses.  Excludes
   /// answers that landed after abandonment: using them would make the
   /// merge timing-dependent.
@@ -230,13 +168,24 @@ struct Cluster::RoundSlot {
   std::shared_ptr<SubJob> hedge;
   bool skipped = false;        // breaker open: never dispatched
   bool hedge_decided = false;  // hedge fired, or ruled out for this slot
+
+  /// The usable answer at `pos`: the primary's, else the hedge's (setting
+  /// `hedged`, and `whole` when the hedge answered for the whole map);
+  /// null when neither answered.
+  const Response* answer(std::size_t pos, bool& hedged, bool& whole) const {
+    if (skipped) return nullptr;
+    if (primary && primary->usable()) return &primary->rsps[pos];
+    if (!hedge || !hedge->usable()) return nullptr;
+    hedged = true;
+    whole = hedge->whole_map;
+    return &hedge->rsps[pos];
+  }
 };
 
 struct Cluster::Pending {
   std::size_t index = 0;  // into the batch
   ResultCache::Key key;
   bool fill_cache = false;  // missed; memoize on a healthy kOk merge
-  bool knn = false;
   bool hedged = false;   // a consumed answer came from a hedge
   bool settled = false;  // answered before the final merge pass
   struct Slot {
@@ -296,33 +245,8 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
   const geom::Rect extent{0.0, 0.0, mopts.world, mopts.world};
   core::ShardedSegments sharded =
       core::shard_segments(lines, extent, shards_);
-  auto built = std::make_unique<std::vector<ShardIndexes>>(shards_);
-  dpv::Context build_ctx;  // serial: deterministic shard builds
-  for (std::size_t s = 0; s < shards_; ++s) {
-    if (sharded.shards[s].empty()) continue;
-    core::PmrBuildOptions po = mopts.quad;
-    po.world = mopts.world;
-    ShardIndexes& slot = (*built)[s];
-    slot.quad = core::pmr_build(build_ctx, sharded.shards[s], po).tree;
-    slot.rtree =
-        core::rtree_build(build_ctx, sharded.shards[s], mopts.rtree).tree;
-    if (mopts.build_linear) {
-      slot.linear = core::LinearQuadTree::from(slot.quad);
-    }
-    slot.empty = false;
-  }
-  // Whole-map fallback indexes (a 1-shard plan IS the whole map, so shard
-  // 0's indexes are reused there).
   std::unique_ptr<ShardIndexes> fb;
-  if (fallback_engine_ != nullptr && shards_ > 1 && !lines.empty()) {
-    fb = std::make_unique<ShardIndexes>();
-    core::PmrBuildOptions po = mopts.quad;
-    po.world = mopts.world;
-    fb->quad = core::pmr_build(build_ctx, lines, po).tree;
-    fb->rtree = core::rtree_build(build_ctx, lines, mopts.rtree).tree;
-    if (mopts.build_linear) fb->linear = core::LinearQuadTree::from(fb->quad);
-    fb->empty = false;
-  }
+  auto built = build_slices(sharded, lines, mopts, mopts.build_linear, fb);
 
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   // Remount every replica onto the *new* storage first.  Each engine's
@@ -357,23 +281,16 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
     engines_[s]->set_aggregate_scope(scope);
     if (!backups_.empty()) backups_[s]->set_aggregate_scope(scope);
   }
-  const ShardIndexes* fbix =
-      fb != nullptr ? fb.get()
-                    : (fallback_engine_ != nullptr && shards_ == 1
-                           ? &(*built)[0]
-                           : nullptr);
-  if (fallback_engine_ != nullptr) remount(*fallback_engine_, fbix);
+  if (fallback_engine_ != nullptr) {  // its own indexes, or shard 0's
+    remount(*fallback_engine_, fb != nullptr     ? fb.get()
+                               : shards_ == 1 ? &(*built)[0]
+                                              : nullptr);
+  }
   // A base remount invalidates any mounted probe map: its shards were cut
   // by the previous plan.  Drop every replica's probe pointers first (each
   // engine's mount lock drains its in-flight serves), then the storage.
   if (probe_indexes_ != nullptr || probe_mounted_) {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      engines_[s]->mount_probe(nullptr, nullptr);
-      if (!backups_.empty()) backups_[s]->mount_probe(nullptr, nullptr);
-    }
-    if (fallback_engine_ != nullptr) {
-      fallback_engine_->mount_probe(nullptr, nullptr);
-    }
+    each_engine([](QueryEngine& e) { e.mount_probe(nullptr, nullptr); });
   }
   probe_indexes_.reset();
   probe_fallback_.reset();
@@ -407,44 +324,23 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   if (!mounted_) return;  // no plan to shard against
   const geom::Rect extent{0.0, 0.0, mount_opts_.world, mount_opts_.world};
-  core::ShardedSegments sharded =
-      core::shard_segments(lines, extent, shards_);
-  auto built = std::make_unique<std::vector<ShardProbe>>(shards_);
-  dpv::Context build_ctx;  // serial: deterministic probe builds
-  core::PmrBuildOptions po = mount_opts_.quad;
-  po.world = mount_opts_.world;
+  // No linear quadtree: joins on the linear index are kRejected.
+  std::unique_ptr<ShardIndexes> fb;
+  auto built =
+      build_slices(core::shard_segments(lines, extent, shards_), lines,
+                   mount_opts_, /*linear=*/false, fb);
+  const auto probe = [](QueryEngine& eng, const ShardIndexes* ix) {
+    const bool none = ix == nullptr || ix->empty;
+    eng.mount_probe(none ? nullptr : &ix->quad, none ? nullptr : &ix->rtree);
+  };
   for (std::size_t s = 0; s < shards_; ++s) {
-    if (sharded.shards[s].empty()) continue;
-    ShardProbe& slot = (*built)[s];
-    slot.quad = core::pmr_build(build_ctx, sharded.shards[s], po).tree;
-    slot.rtree =
-        core::rtree_build(build_ctx, sharded.shards[s], mount_opts_.rtree)
-            .tree;
-    slot.empty = false;
+    probe(*engines_[s], &(*built)[s]);
+    if (!backups_.empty()) probe(*backups_[s], &(*built)[s]);
   }
-  // Whole-map probe for the fallback engine (a 1-shard plan's shard 0 IS
-  // the whole probe, so it is reused there).
-  std::unique_ptr<ShardProbe> fb;
-  if (fallback_engine_ != nullptr && shards_ > 1 && !lines.empty()) {
-    fb = std::make_unique<ShardProbe>();
-    fb->quad = core::pmr_build(build_ctx, lines, po).tree;
-    fb->rtree = core::rtree_build(build_ctx, lines, mount_opts_.rtree).tree;
-    fb->empty = false;
-  }
-  for (std::size_t s = 0; s < shards_; ++s) {
-    const ShardProbe& slot = (*built)[s];
-    const core::QuadTree* q = slot.empty ? nullptr : &slot.quad;
-    const core::RTree* r = slot.empty ? nullptr : &slot.rtree;
-    engines_[s]->mount_probe(q, r);
-    if (!backups_.empty()) backups_[s]->mount_probe(q, r);
-  }
-  if (fallback_engine_ != nullptr) {
-    const ShardProbe* fbp =
-        fb != nullptr ? fb.get()
-                      : (shards_ == 1 && !(*built)[0].empty ? &(*built)[0]
-                                                            : nullptr);
-    fallback_engine_->mount_probe(fbp != nullptr ? &fbp->quad : nullptr,
-                                  fbp != nullptr ? &fbp->rtree : nullptr);
+  if (fallback_engine_ != nullptr) {  // its own probe, or shard 0's
+    probe(*fallback_engine_, fb != nullptr     ? fb.get()
+                             : shards_ == 1 ? &(*built)[0]
+                                            : nullptr);
   }
   probe_shard_live_.assign(shards_, 0);
   for (std::size_t s = 0; s < shards_; ++s) {
@@ -459,6 +355,33 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
   cache_.bump_epoch();
 }
 
+std::unique_ptr<std::vector<Cluster::ShardIndexes>> Cluster::build_slices(
+    const core::ShardedSegments& sharded,
+    const std::vector<geom::Segment>& lines, const ClusterMountOptions& mo,
+    bool linear, std::unique_ptr<ShardIndexes>& whole) const {
+  dpv::Context ctx;  // serial: deterministic builds
+  const auto build = [&](const std::vector<geom::Segment>& slice,
+                         ShardIndexes& out) {
+    core::PmrBuildOptions po = mo.quad;
+    po.world = mo.world;
+    out.quad = core::pmr_build(ctx, slice, po).tree;
+    out.rtree = core::rtree_build(ctx, slice, mo.rtree).tree;
+    if (linear) out.linear = core::LinearQuadTree::from(out.quad);
+    out.empty = false;
+  };
+  auto built = std::make_unique<std::vector<ShardIndexes>>(shards_);
+  for (std::size_t s = 0; s < shards_; ++s) {
+    if (!sharded.shards[s].empty()) build(sharded.shards[s], (*built)[s]);
+  }
+  // Whole-map indexes for the fallback engine (a 1-shard plan IS the whole
+  // map, so shard 0's indexes are reused there).
+  if (fallback_engine_ != nullptr && shards_ > 1 && !lines.empty()) {
+    whole = std::make_unique<ShardIndexes>();
+    build(lines, *whole);
+  }
+  return built;
+}
+
 Status Cluster::pre_status(const Request& rq) const noexcept {
   if (cancel_.load(std::memory_order_relaxed)) return Status::kCancelled;
   if (rq.has_deadline() && Clock::now() >= *rq.deadline) {
@@ -468,31 +391,26 @@ Status Cluster::pre_status(const Request& rq) const noexcept {
 }
 
 bool Cluster::supported(const Request& rq) const noexcept {
-  if (!mounted_) return false;
-  if (rq.index == IndexKind::kLinearQuadTree) {
-    // The linear index answers neither k-nearest nor joins (matching the
-    // engine's kRejected for both).
-    return linear_mounted_ && rq.kind != RequestKind::kNearest &&
-           rq.kind != RequestKind::kJoin;
-  }
-  return true;
+  return mounted_ && kind_ops(rq.kind).supports(rq.index) &&
+         (rq.index != IndexKind::kLinearQuadTree || linear_mounted_);
 }
 
-void Cluster::route_window(const geom::Rect& window,
-                           std::vector<std::size_t>& out) const {
-  for (std::size_t s = 0; s < shards_; ++s) {
-    if (shard_live(s) && sharded_.plan.footprints[s].intersects(window)) {
-      out.push_back(s);
-    }
+void Cluster::route(Route route, const Request& rq,
+                    std::vector<std::size_t>& out) const {
+  if (route == Route::kNearest) {  // phase one; widening follows the reply
+    const std::size_t primary = primary_knn_shard(rq.point);
+    if (primary < shards_) out.push_back(primary);
+    return;
   }
-}
-
-void Cluster::route_point(const geom::Point& p,
-                          std::vector<std::size_t>& out) const {
   for (std::size_t s = 0; s < shards_; ++s) {
-    if (shard_live(s) && sharded_.plan.footprints[s].contains(p)) {
-      out.push_back(s);
-    }
+    const geom::Rect& fp = sharded_.plan.footprints[s];
+    // A join pair's intersection point lies in some footprint, where the
+    // cloning rule placed both lines -- so the shards holding both base
+    // and probe clones find every pair, and the rest can contribute none.
+    const bool hit = route == Route::kWindow ? fp.intersects(rq.window)
+                     : route == Route::kPoint ? fp.contains(rq.point)
+                                              : probe_shard_live_[s] != 0;
+    if (shard_live(s) && hit) out.push_back(s);
   }
 }
 
@@ -518,14 +436,6 @@ std::chrono::microseconds Cluster::hedge_delay(std::size_t replica) const {
   const auto p99 = std::chrono::microseconds(
       static_cast<std::int64_t>(rs.ledger.quantile_upper_us(h.quantile)));
   return std::clamp(p99, h.min_delay, h.max_delay);
-}
-
-Status Cluster::run_fallback(const Request& rq, Response& rsp) const {
-  // The fallback engine's sequential oracle over its pinned generation:
-  // exact, and update-aware (an updated generation lazily rebuilds its
-  // sibling indexes on first use, so this path stays exact mid-update).
-  if (fallback_engine_ == nullptr) return Status::kRejected;
-  return fallback_engine_->run_oracle(rq, rsp);
 }
 
 UpdateOptions Cluster::update_options() const {
@@ -574,7 +484,10 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
   // shards with, so an updated shard holds precisely the segments a
   // from-scratch reshard of the new map would give it.  (The one-shard
   // plan clones nothing: everything lives in shard 0.)
-  const auto& footprints = sharded_.plan.footprints;
+  const auto owns = [this](std::size_t s, const geom::Segment& seg) {
+    return shards_ == 1 ||
+           geom::segment_intersects_rect(seg, sharded_.plan.footprints[s]);
+  };
   std::vector<std::vector<geom::Segment>> shard_inserts(shards_);
   std::vector<std::vector<geom::LineId>> shard_deletes(shards_);
   std::vector<geom::Rect> dirty;
@@ -587,19 +500,13 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
     ++res.deleted;
     dirty.push_back(it->second.bbox());
     for (std::size_t s = 0; s < shards_; ++s) {
-      if (shards_ == 1 ||
-          geom::segment_intersects_rect(it->second, footprints[s])) {
-        shard_deletes[s].push_back(id);
-      }
+      if (owns(s, it->second)) shard_deletes[s].push_back(id);
     }
   }
   for (const geom::Segment& seg : batch.inserts) {
     dirty.push_back(seg.bbox());
     for (std::size_t s = 0; s < shards_; ++s) {
-      if (shards_ == 1 ||
-          geom::segment_intersects_rect(seg, footprints[s])) {
-        shard_inserts[s].push_back(seg);
-      }
+      if (owns(s, seg)) shard_inserts[s].push_back(seg);
     }
   }
   res.inserted = batch.inserts.size();
@@ -669,19 +576,15 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
   // Phase 2 -- publish: back-to-back RCU pointer swaps.  Readers pin a
   // generation per engine batch, so each answer is internally consistent;
   // the cross-shard publication window is only these swaps.
+  std::uint64_t compactions = 0;
   for (ShardPrep& sp : preps) {
     res.compacted = res.compacted || sp.prep.compacted;
-    if (sp.prep.compacted) {
-      std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++metrics_.compactions;
-    }
+    if (sp.prep.compacted) ++compactions;
     const std::size_t s = sp.shard;
-    const std::size_t ins = sp.prep.inserted;
-    const std::size_t del = sp.prep.deleted;
+    shard_lines_[s] += sp.prep.inserted;
+    shard_lines_[s] -= sp.prep.deleted;
     engines_[s]->publish_update(std::move(sp.prep));
     if (!backups_.empty()) backups_[s]->adopt_generation(*engines_[s]);
-    shard_lines_[s] += ins;
-    shard_lines_[s] -= del;
     shard_live_[s].store(shard_lines_[s] > 0, std::memory_order_release);
   }
   if (fb_separate) {
@@ -710,6 +613,7 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
     ++metrics_.updates;
     metrics_.update_inserts += res.inserted;
     metrics_.update_deletes += res.deleted;
+    metrics_.compactions += compactions;
   }
   res.epoch = mount_epoch_.fetch_add(1, std::memory_order_release) + 1;
   return res;
@@ -730,16 +634,13 @@ void Cluster::submit_job(const std::shared_ptr<SubJob>& job,
         }
         if (rf.kind == dpv::ReplicaFaultKind::kCrash) {
           job->crashed.store(true, std::memory_order_relaxed);
-        } else if (rf.kind == dpv::ReplicaFaultKind::kStuck) {
-          // The reply never arrives.  Park interruptibly: abandonment and
-          // pool shutdown must never be wedged on an injected fault.
-          while (!job->abandoned.load(std::memory_order_acquire) &&
-                 !pool->stopping()) {
-            std::this_thread::sleep_for(std::chrono::microseconds{200});
-          }
-          vanished = true;
-        } else if (rf.kind == dpv::ReplicaFaultKind::kStall) {
-          const auto until = Clock::now() + rf.stall;
+        } else if (rf.kind != dpv::ReplicaFaultKind::kNone) {
+          // A stall delays the reply; a stuck reply never arrives.  Park
+          // interruptibly: abandonment and pool shutdown must never be
+          // wedged on an injected fault.
+          vanished = rf.kind == dpv::ReplicaFaultKind::kStuck;
+          const auto until =
+              vanished ? Clock::time_point::max() : Clock::now() + rf.stall;
           while (Clock::now() < until &&
                  !job->abandoned.load(std::memory_order_acquire) &&
                  !pool->stopping()) {
@@ -776,8 +677,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
       // requests without ever consulting the replica.
       slots[s].skipped = true;
       delta.breaker_skipped_subrequests += sub[s].size();
-      std::lock_guard<std::mutex> lk(rs.mutex);
-      rs.breaker_skips += sub[s].size();
+      rs.count(&ReplicaState::breaker_skips, sub[s].size());
       continue;
     }
     if (gate == CircuitBreaker::Gate::kProbe) ++delta.breaker_half_open_probes;
@@ -789,10 +689,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
     job->reqs = std::move(sub[s]);
     job->budget = job_budget(job->reqs, now0, opts_.fallback_reserve,
                              opts_.subrequest_timeout);
-    {
-      std::lock_guard<std::mutex> lk(rs.mutex);
-      ++rs.subrequests;
-    }
+    rs.count(&ReplicaState::subrequests);
     slots[s].primary = job;
     submit_job(job, waiter);
     outstanding = true;
@@ -818,10 +715,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
           pj.resolved = true;
           if (pj.crashed.load(std::memory_order_relaxed)) {
             ++delta.replica_crashes;
-            {
-              std::lock_guard<std::mutex> lk(rs.mutex);
-              ++rs.crashes;
-            }
+            rs.count(&ReplicaState::crashes);
             if (rs.breaker.on_failure(now)) ++delta.breaker_open_transitions;
           } else {
             const double wall =
@@ -836,30 +730,18 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
             if (rs.breaker.on_success()) ++delta.breaker_close_transitions;
             if (sl.hedge && !sl.hedge->resolved) {
               // The primary answered: the hedge lost; cancel it.
-              sl.hedge->cancel.store(true, std::memory_order_relaxed);
-              sl.hedge->abandoned.store(true, std::memory_order_release);
-              sl.hedge->resolved = true;
-              sl.hedge->lost_hedge = true;
+              sl.hedge->abandon(&SubJob::lost_hedge);
             }
           }
         } else if (pj.has_budget() && now >= pj.budget) {
           // Out of budget: abandon, never join.  The merge settles these
           // via the fallback oracle / kPartial inside the deadline.
-          pj.cancel.store(true, std::memory_order_relaxed);
-          pj.abandoned.store(true, std::memory_order_release);
-          pj.resolved = true;
-          pj.timed_out = true;
+          pj.abandon(&SubJob::timed_out);
           ++delta.subrequest_timeouts;
-          {
-            std::lock_guard<std::mutex> lk(rs.mutex);
-            ++rs.timeouts;
-          }
+          rs.count(&ReplicaState::timeouts);
           if (rs.breaker.on_failure(now)) ++delta.breaker_open_transitions;
           if (sl.hedge && !sl.hedge->resolved) {
-            sl.hedge->cancel.store(true, std::memory_order_relaxed);
-            sl.hedge->abandoned.store(true, std::memory_order_release);
-            sl.hedge->resolved = true;
-            sl.hedge->timed_out = true;
+            sl.hedge->abandon(&SubJob::timed_out);
           }
         } else if (pj.has_budget() && pj.budget < next_event) {
           next_event = pj.budget;
@@ -892,10 +774,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
             hedge->budget = pj.budget;
             sl.hedge = hedge;
             ++delta.hedges_issued;
-            {
-              std::lock_guard<std::mutex> lk(rs.mutex);
-              ++rs.hedges;
-            }
+            rs.count(&ReplicaState::hedges);
             submit_job(hedge, waiter);
           }
         } else if (pj.resolved) {
@@ -911,17 +790,11 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
             // Hedge beat the primary: cancel the loser, and count the
             // slowness as a replica failure -- it blew through its own
             // observed-p99 budget and lost the race.
-            pj.cancel.store(true, std::memory_order_relaxed);
-            pj.abandoned.store(true, std::memory_order_release);
-            pj.resolved = true;
-            pj.lost_hedge = true;
+            pj.abandon(&SubJob::lost_hedge);
             if (rs.breaker.on_failure(now)) ++delta.breaker_open_transitions;
           }
         } else if (hj.has_budget() && now >= hj.budget) {
-          hj.cancel.store(true, std::memory_order_relaxed);
-          hj.abandoned.store(true, std::memory_order_release);
-          hj.resolved = true;
-          hj.timed_out = true;
+          hj.abandon(&SubJob::timed_out);
         } else if (hj.has_budget() && hj.budget < next_event) {
           next_event = hj.budget;
         }
@@ -1015,29 +888,21 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
       std::vector<std::vector<Request>> round1(shards_);
       std::vector<std::size_t> targets;
       for (std::size_t i = 0; i < n; ++i) {
-        if (gate[i] != Status::kOk) {
-          settle(i, gate[i]);
-          continue;
-        }
         const Request& rq = batch[i];
-        const Status s = pre_status(rq);
+        Status s = gate[i] != Status::kOk ? gate[i] : pre_status(rq);
+        if (s == Status::kOk && !supported(rq)) s = Status::kRejected;
+        // Probe-map gate at the cluster door, before the cache: a join with
+        // no (or an empty) probe mounted is a caller error, same status the
+        // engines would settle shard-locally.
+        if (s == Status::kOk && kind_ops(rq.kind).needs_probe &&
+            core::validate_probe_map(probe_mounted_, probe_lines_)) {
+          s = Status::kInvalidArgument;
+        }
         if (s != Status::kOk) {
           settle(i, s);
           continue;
         }
-        if (!supported(rq)) {
-          settle(i, Status::kRejected);
-          continue;
-        }
-        if (rq.kind == RequestKind::kJoin &&
-            core::validate_probe_map(probe_mounted_, probe_lines_)
-                .has_value()) {
-          // Probe-map gate at the cluster door, before the cache: a join
-          // with no (or an empty) probe mounted is a caller error, same
-          // status the engines would settle shard-locally.
-          settle(i, Status::kInvalidArgument);
-          continue;
-        }
+        const KindOps& ops = kind_ops(rq.kind);
 
         Pending p;
         p.index = i;
@@ -1055,26 +920,7 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
         }
 
         targets.clear();
-        if (rq.kind == RequestKind::kWindow ||
-            rq.kind == RequestKind::kAggregate) {
-          route_window(rq.window, targets);
-        } else if (rq.kind == RequestKind::kPoint) {
-          route_point(rq.point, targets);
-        } else if (rq.kind == RequestKind::kJoin) {
-          // Any intersecting pair's intersection point lies in some
-          // footprint, where the cloning rule placed both lines -- so
-          // consulting every shard holding both base and probe clones
-          // finds every pair, and the rest can contribute none.
-          for (std::size_t sh = 0; sh < shards_; ++sh) {
-            if (shard_live(sh) && probe_shard_live_[sh] != 0) {
-              targets.push_back(sh);
-            }
-          }
-        } else {
-          p.knn = true;
-          const std::size_t primary = primary_knn_shard(rq.point);
-          if (primary < shards_) targets.push_back(primary);
-        }
+        route(ops.route, rq, targets);
         for (const std::size_t shard : targets) {
           p.slots.push_back({0, shard, round1[shard].size()});
           round1[shard].push_back(rq);
@@ -1092,33 +938,32 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
       // pruned -- the primary shard's running kth-best bound.  A primary
       // answered by a whole-map hedge settles right here: that answer is
       // already the exact global top-k.
+      // Settles a request with the kOk payload now in its response.
+      auto settle_ok = [&](const Pending& p) {
+        settle(p.index, Status::kOk);
+        if (p.fill_cache) {
+          cache_.insert(p.key, responses[p.index], cache_version);
+        }
+      };
       std::vector<std::vector<Request>> round2(shards_);
       for (Pending& p : pending) {
-        if (!p.knn || p.slots.empty()) continue;
         const Request& rq = batch[p.index];
-        const Pending::Slot primary_slot = p.slots.front();
-        RoundSlot& sl = r1[primary_slot.shard];
-        const Response* first = nullptr;
-        if (!sl.skipped) {
-          if (sl.primary && sl.primary->usable()) {
-            first = &sl.primary->rsps[primary_slot.pos];
-          } else if (sl.hedge && sl.hedge->usable()) {
-            p.hedged = true;
-            first = &sl.hedge->rsps[primary_slot.pos];
-            if (sl.hedge->whole_map && first->status == Status::kOk) {
-              responses[p.index].neighbors = first->neighbors;
-              ++delta.hedges_won;
-              settle(p.index, Status::kOk);
-              if (p.fill_cache) {
-                cache_.insert(p.key, responses[p.index], cache_version);
-              }
-              p.settled = true;
-              continue;
-            }
-          }
+        if (kind_ops(rq.kind).route != Route::kNearest || p.slots.empty()) {
+          continue;
         }
-        if (first == nullptr) continue;  // missing: final merge degrades
-        if (first->status != Status::kOk) continue;  // settles in merge
+        const Pending::Slot primary_slot = p.slots.front();
+        bool whole = false;
+        const Response* first = r1[primary_slot.shard].answer(
+            primary_slot.pos, p.hedged, whole);
+        // Missing: the final merge degrades; not kOk: settles in merge.
+        if (first == nullptr || first->status != Status::kOk) continue;
+        if (whole) {
+          kind_ops(rq.kind).take(responses[p.index], *first);
+          ++delta.hedges_won;
+          settle_ok(p);
+          p.settled = true;
+          continue;
+        }
         const double bound =
             first->neighbors.size() >= rq.k
                 ? first->neighbors.back().distance2
@@ -1144,6 +989,7 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
       for (Pending& p : pending) {
         if (p.settled) continue;
         const Request& rq = batch[p.index];
+        const KindOps& ops = kind_ops(rq.kind);
         Response& rsp = responses[p.index];
         bool hedged = p.hedged;
         const Response* whole = nullptr;
@@ -1152,67 +998,27 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
         std::vector<const Response*> parts;
         parts.reserve(p.slots.size());
         for (const Pending::Slot& slot : p.slots) {
-          RoundSlot& sl = (slot.round == 0 ? r1 : r2)[slot.shard];
-          const Response* r = nullptr;
-          if (!sl.skipped) {
-            if (sl.primary && sl.primary->usable()) {
-              r = &sl.primary->rsps[slot.pos];
-            } else if (sl.hedge && sl.hedge->usable()) {
-              hedged = true;
-              r = &sl.hedge->rsps[slot.pos];
-              if (sl.hedge->whole_map && r->status == Status::kOk) whole = r;
-            }
-          }
+          bool from_whole = false;
+          const Response* r = (slot.round == 0 ? r1 : r2)[slot.shard].answer(
+              slot.pos, hedged, from_whole);
           if (r == nullptr) {
             ++missing;
-            continue;
-          }
-          if (r->status != Status::kOk) {
+          } else if (r->status != Status::kOk) {
             // The replica *answered* with a terminal per-request status
             // (deadline expired inside the engine, cancellation): the
             // request's own condition, not a failure domain.
             if (dead == Status::kOk) dead = r->status;
-            continue;
+          } else {
+            if (from_whole) whole = r;
+            parts.push_back(r);
           }
-          parts.push_back(r);
         }
 
-        auto merge_parts = [&]() {
-          if (p.knn) {
-            for (const Response* r : parts) {
-              rsp.neighbors.insert(rsp.neighbors.end(), r->neighbors.begin(),
-                                   r->neighbors.end());
-            }
-            delta.duplicate_hits_removed += merge_neighbors(rsp.neighbors,
-                                                            rq.k);
-          } else if (rq.kind == RequestKind::kAggregate) {
-            // Field-wise fold in shard order.  Ownership scoping made the
-            // per-shard partials disjoint, so no duplicate deletion: count
-            // and bbox are the single-engine values bitwise, the sums
-            // differ only by floating-point association.
-            for (const Response* r : parts) rsp.aggregate.merge(r->aggregate);
-          } else if (rq.kind == RequestKind::kJoin) {
-            for (const Response* r : parts) {
-              rsp.pairs.insert(rsp.pairs.end(), r->pairs.begin(),
-                               r->pairs.end());
-            }
-            delta.duplicate_hits_removed += merge_pairs(rsp.pairs);
-          } else {
-            for (const Response* r : parts) {
-              rsp.ids.insert(rsp.ids.end(), r->ids.begin(), r->ids.end());
-            }
-            delta.duplicate_hits_removed += merge_ids(rsp.ids);
-          }
-        };
-        auto clear_payload = [&rsp]() {
-          rsp.ids.clear();
-          rsp.neighbors.clear();
-          rsp.pairs.clear();
-          rsp.aggregate = core::WindowAggregate{};
-        };
+        // Until one of the outcomes below writes it, `rsp` holds no
+        // payload (a cache miss leaves it untouched), so settling with a
+        // non-kOk status needs no clearing.
 
         if (dead != Status::kOk) {
-          clear_payload();
           settle(p.index, dead);
           continue;
         }
@@ -1220,58 +1026,43 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
           // A whole-map hedge answer subsumes every shard's (the fallback
           // engine is unscoped and carries the whole probe, so its
           // aggregate / join payloads are already global).
-          if (p.knn) {
-            rsp.neighbors = whole->neighbors;
-          } else if (rq.kind == RequestKind::kAggregate) {
-            rsp.aggregate = whole->aggregate;
-          } else if (rq.kind == RequestKind::kJoin) {
-            rsp.pairs = whole->pairs;
-          } else {
-            rsp.ids = whole->ids;
-          }
+          ops.take(rsp, *whole);
           ++delta.hedges_won;
-          settle(p.index, Status::kOk);
-          if (p.fill_cache) cache_.insert(p.key, rsp, cache_version);
+          settle_ok(p);
           continue;
         }
         if (missing == 0) {
-          merge_parts();
+          delta.duplicate_hits_removed += ops.merge(rq, parts, rsp);
           if (hedged) ++delta.hedges_won;
-          settle(p.index, Status::kOk);
-          if (p.fill_cache) cache_.insert(p.key, rsp, cache_version);
+          settle_ok(p);
           continue;
         }
         delta.missing_shard_answers += missing;
         if (rq.allow_partial) {
           // Opted-in degradation: the surviving shards' exactly-merged
           // hits.  Never cached (fills happen only on the kOk paths).
-          merge_parts();
+          delta.duplicate_hits_removed += ops.merge(rq, parts, rsp);
           rsp.missing_shards = static_cast<std::uint32_t>(missing);
           settle(p.index, Status::kPartial);
           continue;
         }
-        // Graceful degradation: the sequential whole-map oracle (exact).
-        const Status pre = pre_status(rq);
-        if (pre != Status::kOk) {
-          clear_payload();
-          settle(p.index, pre);
-          continue;
+        // Graceful degradation: the fallback engine's sequential oracle
+        // over its pinned generation -- exact, and update-aware (an updated
+        // generation lazily rebuilds its siblings on first use).  With no
+        // fallback indexes mounted nothing exact is left to answer with.
+        // Degraded answers never fill the cache: a cache serving traffic
+        // for an open breaker must only hold answers the healthy merge
+        // path produced.
+        Status s = pre_status(rq);
+        if (s == Status::kOk && (fallback_engine_ == nullptr ||
+                                 !fallback_engine_->mounted_index(rq.index))) {
+          s = Status::kRejected;
         }
-        const bool fb_ok = fallback_engine_ != nullptr &&
-                           fallback_engine_->mounted_index(rq.index);
-        if (!fb_ok) {
-          // No fallback indexes mounted: nothing exact left to answer
-          // with.
-          clear_payload();
-          settle(p.index, Status::kRejected);
-          continue;
+        if (s == Status::kOk) {
+          ++delta.degraded_fallback;
+          s = fallback_engine_->run_oracle(rq, rsp);
         }
-        clear_payload();
-        ++delta.degraded_fallback;
-        // Degraded answers are exact but never fill the cache: a cache
-        // serving traffic for an open breaker must only hold answers the
-        // healthy merge path produced.
-        settle(p.index, run_fallback(rq, rsp));
+        settle(p.index, s);
       }
     }
   }
@@ -1298,18 +1089,21 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
   return responses;
 }
 
+template <class F>
+void Cluster::each_engine(F f) const {
+  for (const auto& e : engines_) f(*e);
+  for (const auto& e : backups_) f(*e);
+  if (fallback_engine_ != nullptr) f(*fallback_engine_);
+}
+
 void Cluster::cancel_all() noexcept {
   cancel_.store(true, std::memory_order_relaxed);
-  for (const auto& e : engines_) e->cancel_all();
-  for (const auto& e : backups_) e->cancel_all();
-  if (fallback_engine_ != nullptr) fallback_engine_->cancel_all();
+  each_engine([](QueryEngine& e) { e.cancel_all(); });
 }
 
 void Cluster::reset_cancel() noexcept {
   cancel_.store(false, std::memory_order_relaxed);
-  for (const auto& e : engines_) e->reset_cancel();
-  for (const auto& e : backups_) e->reset_cancel();
-  if (fallback_engine_ != nullptr) fallback_engine_->reset_cancel();
+  each_engine([](QueryEngine& e) { e.reset_cancel(); });
 }
 
 ClusterMetrics Cluster::metrics() const {
@@ -1346,15 +1140,10 @@ void Cluster::reset_metrics() {
 
 dpv::CostModelSnapshot Cluster::share_cost_models() {
   dpv::CostModelSnapshot merged;
-  const auto fold = [&merged](QueryEngine& eng) {
-    dpv::merge_snapshot(merged, eng.cost_model_snapshot());
-  };
-  for (const auto& e : engines_) fold(*e);
-  for (const auto& e : backups_) fold(*e);
-  if (fallback_engine_ != nullptr) fold(*fallback_engine_);
-  for (const auto& e : engines_) e->warm_cost_model(merged);
-  for (const auto& e : backups_) e->warm_cost_model(merged);
-  if (fallback_engine_ != nullptr) fallback_engine_->warm_cost_model(merged);
+  each_engine([&merged](QueryEngine& e) {
+    dpv::merge_snapshot(merged, e.cost_model_snapshot());
+  });
+  each_engine([&merged](QueryEngine& e) { e.warm_cost_model(merged); });
   return merged;
 }
 

@@ -77,8 +77,10 @@
 // Request::allow_partial, as Status::kPartial carrying the surviving
 // shards' exactly-merged hits plus a missing_shards count.  kPartial and
 // fallback-settled responses are never inserted into the ResultCache.
+// docs/PRIMITIVES.md ("Failure domains and exact-merge degradation")
+// walks the ladder, the breaker state machine and the hedge delay.
 //
-// Each replica keeps QueryEngine's full PR-2 semantics: per-shard
+// Each replica keeps QueryEngine's full semantics: per-shard
 // retry-with-backoff under injected faults, sequential settle, and
 // deterministic chaos replay.  Replica-level faults (stall / stuck /
 // crash, ClusterOptions::replica_fault_injectors) are decided purely from
@@ -116,6 +118,8 @@
 #include "serve/request.hpp"
 
 namespace dps::serve {
+
+enum class Route : std::uint8_t;  // a request kind's shard route (kinds.hpp)
 
 /// Hedged subrequests: when a replica has not answered within a delay
 /// derived from its own observed latency, re-issue the subrequest to that
@@ -373,18 +377,12 @@ class Cluster {
   dpv::CostModelSnapshot share_cost_models();
 
  private:
+  /// One slice's indexes (a shard's, or the whole map's for the fallback
+  /// engine), of the base map or of the probe map.
   struct ShardIndexes {
     core::QuadTree quad;
     core::RTree rtree;
     core::LinearQuadTree linear;
-    bool empty = true;
-  };
-
-  /// One shard's slice of the mounted probe map (join serving).  No
-  /// linear quadtree: joins on the linear index are kRejected.
-  struct ShardProbe {
-    core::QuadTree quad;
-    core::RTree rtree;
     bool empty = true;
   };
 
@@ -399,6 +397,18 @@ class Cluster {
   struct RoundSlot;
   /// Long-lived per-replica state: latency ledger, breaker, counters.
   struct ReplicaState;
+
+  /// Builds every non-empty slice of `sharded` (the linear quadtree only
+  /// when `linear`), plus the fallback engine's whole-map indexes into
+  /// `whole` when it keeps its own.
+  std::unique_ptr<std::vector<ShardIndexes>> build_slices(
+      const core::ShardedSegments& sharded,
+      const std::vector<geom::Segment>& lines, const ClusterMountOptions& mo,
+      bool linear, std::unique_ptr<ShardIndexes>& whole) const;
+
+  /// Calls `f` on every engine: primaries, backups, then the fallback.
+  template <class F>
+  void each_engine(F f) const;
 
   Status pre_status(const Request& rq) const noexcept;
   bool supported(const Request& rq) const noexcept;  // under mount lock
@@ -424,13 +434,10 @@ class Cluster {
   /// Hedge delay for `replica`: its ledger's p99 (clamped) once warmed,
   /// `initial_delay` before that.
   std::chrono::microseconds hedge_delay(std::size_t replica) const;
-  /// Sequential whole-map settle on the fallback indexes (exact oracle).
-  Status run_fallback(const Request& rq, Response& rsp) const;
-
-  /// Shards whose footprint the window/point touches.
-  void route_window(const geom::Rect& window,
-                    std::vector<std::size_t>& out) const;
-  void route_point(const geom::Point& p, std::vector<std::size_t>& out) const;
+  /// Appends the shards `rq` consults on `route` (kNearest: the primary
+  /// only; the widening round is routed from its reply).
+  void route(Route route, const Request& rq,
+             std::vector<std::size_t>& out) const;
   /// Non-empty shard with the smallest footprint MINDIST to `p` (lowest
   /// index among ties); shards_ when every shard is empty.
   std::size_t primary_knn_shard(const geom::Point& p) const;
@@ -458,8 +465,8 @@ class Cluster {
   bool linear_mounted_ = false;
   // Probe-map state (join serving); written under the exclusive mount
   // lock, read under the shared one, like the base mount state above.
-  std::unique_ptr<std::vector<ShardProbe>> probe_indexes_;
-  std::unique_ptr<ShardProbe> probe_fallback_;  // null when reusing shard 0
+  std::unique_ptr<std::vector<ShardIndexes>> probe_indexes_;
+  std::unique_ptr<ShardIndexes> probe_fallback_;  // null: reusing shard 0
   bool probe_mounted_ = false;
   std::size_t probe_lines_ = 0;
   /// Shards holding at least one probe clone: the only shards a join can

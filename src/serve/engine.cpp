@@ -9,154 +9,11 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/batch_nearest.hpp"
-#include "core/dp_spatial_join.hpp"
-#include "core/nearest.hpp"
 #include "core/pmr_update.hpp"
-#include "core/query.hpp"
-#include "core/rtree_join.hpp"
-#include "core/spatial_join.hpp"
 #include "core/validate.hpp"
+#include "serve/kinds.hpp"
 
 namespace dps::serve {
-
-/// One immutable index generation.  `quad` / `rtree` / `linear` are the
-/// active pointers (null = the generation cannot answer that index kind
-/// eagerly); for a mount()ed generation they borrow the caller's
-/// structures, for an update-produced one they alias the owned_* storage.
-/// An updated generation owns a rebuilt quadtree but marks the siblings
-/// *stale*: the R-tree / linear quadtree have no update path, so they are
-/// rebuilt lazily on first use within the generation, from `lines` (the
-/// generation's surviving segments) under the recorded build options.
-struct IndexGen {
-  const core::QuadTree* quad = nullptr;
-  const core::RTree* rtree = nullptr;
-  const core::LinearQuadTree* linear = nullptr;
-
-  /// Borrowed probe map for kJoin requests (mount_probe).  Carried through
-  /// clones and live updates of the base map: the join's second operand
-  /// does not change when the base evolves.
-  const core::QuadTree* probe_quad = nullptr;
-  const core::RTree* probe_rtree = nullptr;
-
-  std::shared_ptr<const core::QuadTree> owned_quad;
-  std::shared_ptr<const core::RTree> owned_rtree;
-  std::shared_ptr<const core::LinearQuadTree> owned_linear;
-
-  bool rtree_stale = false;   // capability present, lazily materialized
-  bool linear_stale = false;
-
-  /// Surviving lines of an update-produced generation (what the lazy
-  /// sibling rebuilds and the next update's live set read); null for a
-  /// plain mount (recovered from the quadtree's q-edges on demand).
-  std::shared_ptr<const std::vector<geom::Segment>> lines;
-  core::PmrBuildOptions quad_opts;
-  core::RtreeBuildOptions rtree_opts;
-  /// Inserts + deletes accumulated since the last full build; compared
-  /// against UpdateOptions::compact_after by the next update.
-  std::uint64_t deltas = 0;
-
-  // Lazy-rebuild slots: double-checked (atomic fast path, mutex slow
-  // path), shared by every engine serving this generation (a cluster
-  // backup adopting its primary's generation reuses the same rebuild).
-  mutable std::mutex lazy_mutex;
-  mutable std::shared_ptr<const core::RTree> lazy_rtree;
-  mutable std::shared_ptr<const core::LinearQuadTree> lazy_linear;
-  mutable std::atomic<const core::RTree*> lazy_rtree_ready{nullptr};
-  mutable std::atomic<const core::LinearQuadTree*> lazy_linear_ready{nullptr};
-
-  // Lazily built range-aggregate annotations, one slot per index, same
-  // double-checked discipline as the sibling rebuilds.  Each annotation
-  // records the AggregateScope it was filtered under; the resolve path
-  // rebuilds (under lazy_mutex) when the engine's scope differs.
-  mutable std::shared_ptr<const core::QuadAggAnnotations> lazy_quad_agg;
-  mutable std::shared_ptr<const core::RTreeAggAnnotations> lazy_rtree_agg;
-  mutable std::shared_ptr<const core::LinearAggAnnotations> lazy_linear_agg;
-  mutable std::atomic<const core::QuadAggAnnotations*> lazy_quad_agg_ready{
-      nullptr};
-  mutable std::atomic<const core::RTreeAggAnnotations*> lazy_rtree_agg_ready{
-      nullptr};
-  mutable std::atomic<const core::LinearAggAnnotations*>
-      lazy_linear_agg_ready{nullptr};
-
-  // Drop one index's annotation slot (called on a fresh, unshared clone
-  // when a mount replaces that index -- the sums describe the old object).
-  void drop_quad_agg() noexcept {
-    lazy_quad_agg.reset();
-    lazy_quad_agg_ready.store(nullptr, std::memory_order_relaxed);
-  }
-  void drop_rtree_agg() noexcept {
-    lazy_rtree_agg.reset();
-    lazy_rtree_agg_ready.store(nullptr, std::memory_order_relaxed);
-  }
-  void drop_linear_agg() noexcept {
-    lazy_linear_agg.reset();
-    lazy_linear_agg_ready.store(nullptr, std::memory_order_relaxed);
-  }
-
-  bool has(IndexKind index) const noexcept {
-    switch (index) {
-      case IndexKind::kQuadTree: return quad != nullptr;
-      case IndexKind::kRTree: return rtree != nullptr || rtree_stale;
-      case IndexKind::kLinearQuadTree:
-        return linear != nullptr || linear_stale;
-    }
-    return false;
-  }
-
-  /// Logical copy for a partial remount: active pointers, ownership, and
-  /// staleness carry over, with an already-materialized lazy sibling
-  /// settled into the eager slot (the copy must not share the original's
-  /// synchronization members).
-  static std::shared_ptr<IndexGen> clone(const IndexGen& g) {
-    auto out = std::make_shared<IndexGen>();
-    out->quad = g.quad;
-    out->owned_quad = g.owned_quad;
-    out->lines = g.lines;
-    out->quad_opts = g.quad_opts;
-    out->rtree_opts = g.rtree_opts;
-    out->deltas = g.deltas;
-    out->probe_quad = g.probe_quad;
-    out->probe_rtree = g.probe_rtree;
-    std::lock_guard<std::mutex> lk(g.lazy_mutex);
-    // Already-built annotations stay valid for the same index objects; the
-    // mount overloads drop the slot of whatever index they replace.
-    out->lazy_quad_agg = g.lazy_quad_agg;
-    if (out->lazy_quad_agg != nullptr) {
-      out->lazy_quad_agg_ready.store(out->lazy_quad_agg.get(),
-                                     std::memory_order_relaxed);
-    }
-    out->lazy_rtree_agg = g.lazy_rtree_agg;
-    if (out->lazy_rtree_agg != nullptr) {
-      out->lazy_rtree_agg_ready.store(out->lazy_rtree_agg.get(),
-                                      std::memory_order_relaxed);
-    }
-    out->lazy_linear_agg = g.lazy_linear_agg;
-    if (out->lazy_linear_agg != nullptr) {
-      out->lazy_linear_agg_ready.store(out->lazy_linear_agg.get(),
-                                       std::memory_order_relaxed);
-    }
-    if (g.rtree != nullptr) {
-      out->rtree = g.rtree;
-      out->owned_rtree = g.owned_rtree;
-    } else if (g.lazy_rtree != nullptr) {
-      out->owned_rtree = g.lazy_rtree;
-      out->rtree = out->owned_rtree.get();
-    } else {
-      out->rtree_stale = g.rtree_stale;
-    }
-    if (g.linear != nullptr) {
-      out->linear = g.linear;
-      out->owned_linear = g.owned_linear;
-    } else if (g.lazy_linear != nullptr) {
-      out->owned_linear = g.lazy_linear;
-      out->linear = out->owned_linear.get();
-    } else {
-      out->linear_stale = g.linear_stale;
-    }
-    return out;
-  }
-};
 
 namespace {
 
@@ -188,61 +45,57 @@ double observe_clock_us() {
       .count();
 }
 
-constexpr std::size_t kNumKinds = 5;
-constexpr std::size_t kNumIndexes = 3;
-
-std::size_t group_id(RequestKind kind, IndexKind index) noexcept {
-  return static_cast<std::size_t>(kind) * kNumIndexes +
-         static_cast<std::size_t>(index);
-}
-
-/// Per-request geometry gate (Status::kOk = well-formed).
-Status validate_request(const Request& rq) noexcept {
-  switch (rq.kind) {
-    case RequestKind::kWindow:
-      return core::validate_window(rq.window) ? Status::kInvalidArgument
-                                              : Status::kOk;
-    case RequestKind::kPoint:
-      return core::validate_point(rq.point) ? Status::kInvalidArgument
-                                            : Status::kOk;
-    case RequestKind::kNearest:
-      return core::validate_nearest(rq.point, rq.k) ? Status::kInvalidArgument
-                                                    : Status::kOk;
-    case RequestKind::kAggregate:
-      return core::validate_window(rq.window) ? Status::kInvalidArgument
-                                              : Status::kOk;
-    case RequestKind::kJoin:
-      // No geometry payload; the probe-map check needs the pinned
-      // generation and runs in execute_shard.
-      return Status::kOk;
-  }
-  return Status::kInvalidArgument;
-}
-
-/// The probe-map gate for a kJoin request against `gen`: kInvalidArgument
-/// when the index's probe operand is unmounted or empty (the serve-boundary
-/// contract of core::validate_probe_map).
-Status join_probe_status(const IndexGen& gen, IndexKind index) noexcept {
-  bool mounted = false;
-  std::size_t probe_lines = 0;
-  switch (index) {
-    case IndexKind::kQuadTree:
-      mounted = gen.probe_quad != nullptr;
-      if (mounted) probe_lines = gen.probe_quad->num_qedges();
-      break;
-    case IndexKind::kRTree:
-      mounted = gen.probe_rtree != nullptr;
-      if (mounted) probe_lines = gen.probe_rtree->entries().size();
-      break;
-    case IndexKind::kLinearQuadTree:
-      return Status::kRejected;  // no join pipeline; callers reject earlier
-  }
-  return core::validate_probe_map(mounted, probe_lines).has_value()
-             ? Status::kInvalidArgument
-             : Status::kOk;
+/// The generation's annotations for `tree`, built on first use and rebuilt
+/// when the engine's scope no longer matches the stored one.
+template <class Ann, class Tree>
+const Ann& annotations(const LazySlot<Ann>& slot, const IndexGen& gen,
+                       const Tree& tree, const core::AggregateScope& scope,
+                       std::atomic<std::uint64_t>& builds) {
+  return slot.get(
+      gen.lazy_mutex, builds,
+      [&] { return core::build_agg_annotations(tree, scope); },
+      [&](const Ann& a) { return a.scope == scope; });
 }
 
 }  // namespace
+
+bool IndexGen::has(IndexKind index) const noexcept {
+  if (index == IndexKind::kQuadTree) return quad != nullptr;
+  return index == IndexKind::kRTree ? rtree.ready() != nullptr || rtree_stale
+                                    : linear.ready() != nullptr || linear_stale;
+}
+
+const core::RTree* GenView::rtree() const {
+  if (!gen.rtree_stale) return gen.rtree.ready();
+  return &gen.rtree.get(gen.lazy_mutex, engine.lazy_rtree_builds_, [this] {
+    assert(gen.lines != nullptr && "stale R-tree requires the line store");
+    dpv::Context ctx;  // serial; no faults -- the rebuild must not abort
+    ctx.set_grain(engine.opts_.grain);
+    return core::rtree_build(ctx, *gen.lines, gen.rtree_opts).tree;
+  });
+}
+
+const core::LinearQuadTree* GenView::linear() const {
+  if (!gen.linear_stale) return gen.linear.ready();
+  return &gen.linear.get(gen.lazy_mutex, engine.lazy_linear_builds_, [this] {
+    assert(gen.quad != nullptr && "stale linear quadtree requires the quad");
+    return core::LinearQuadTree::from(*gen.quad);
+  });
+}
+
+const core::QuadAggAnnotations& GenView::agg(const core::QuadTree& t) const {
+  return annotations(gen.quad_agg, gen, t, engine.agg_scope_,
+                     engine.agg_annotation_builds_);
+}
+const core::RTreeAggAnnotations& GenView::agg(const core::RTree& t) const {
+  return annotations(gen.rtree_agg, gen, t, engine.agg_scope_,
+                     engine.agg_annotation_builds_);
+}
+const core::LinearAggAnnotations& GenView::agg(
+    const core::LinearQuadTree& t) const {
+  return annotations(gen.linear_agg, gen, t, engine.agg_scope_,
+                     engine.agg_annotation_builds_);
+}
 
 std::string_view status_name(Status s) noexcept {
   switch (s) {
@@ -273,7 +126,7 @@ QueryEngine::QueryEngine(EngineOptions opts)
   if (opts_.scratch_arena) {
     arenas_.reserve(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {
-      arenas_.push_back(std::make_unique<dpv::Arena>());
+      arenas_.push_back(std::make_unique<ShardArena>());
     }
   }
   if (opts_.fault_injector != nullptr) {
@@ -316,15 +169,14 @@ void QueryEngine::mount(const core::QuadTree* tree) {
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   assert(debug_in_flight_.load(std::memory_order_acquire) == 0 &&
          "mount must be serialized against in-flight serve() batches");
-  auto next = IndexGen::clone(*snapshot_gen());
-  next->quad = tree;
+  auto next = snapshot_gen()->clone();
   // A fresh borrowed quadtree supersedes everything the update path
   // derived from the old one: owned storage, the surviving-lines cache,
-  // and the accumulated delta debt.
-  next->owned_quad.reset();
+  // the accumulated delta debt, and the annotations of the old tree.
+  next->quad = borrow(tree);
   next->lines.reset();
   next->deltas = 0;
-  next->drop_quad_agg();
+  next->quad_agg.set(nullptr);
   publish_gen(std::move(next));
 }
 
@@ -332,11 +184,10 @@ void QueryEngine::mount(const core::RTree* tree) {
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   assert(debug_in_flight_.load(std::memory_order_acquire) == 0 &&
          "mount must be serialized against in-flight serve() batches");
-  auto next = IndexGen::clone(*snapshot_gen());
-  next->rtree = tree;
-  next->owned_rtree.reset();
+  auto next = snapshot_gen()->clone();
+  next->rtree.set(borrow(tree));
   next->rtree_stale = false;  // the explicit mount replaces any lazy rebuild
-  next->drop_rtree_agg();
+  next->rtree_agg.set(nullptr);
   publish_gen(std::move(next));
 }
 
@@ -344,11 +195,10 @@ void QueryEngine::mount(const core::LinearQuadTree* tree) {
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   assert(debug_in_flight_.load(std::memory_order_acquire) == 0 &&
          "mount must be serialized against in-flight serve() batches");
-  auto next = IndexGen::clone(*snapshot_gen());
-  next->linear = tree;
-  next->owned_linear.reset();
+  auto next = snapshot_gen()->clone();
+  next->linear.set(borrow(tree));
   next->linear_stale = false;
-  next->drop_linear_agg();
+  next->linear_agg.set(nullptr);
   publish_gen(std::move(next));
 }
 
@@ -357,7 +207,7 @@ void QueryEngine::mount_probe(const core::QuadTree* quad,
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   assert(debug_in_flight_.load(std::memory_order_acquire) == 0 &&
          "mount_probe must be serialized against in-flight serve() batches");
-  auto next = IndexGen::clone(*snapshot_gen());
+  auto next = snapshot_gen()->clone();
   next->probe_quad = quad;
   next->probe_rtree = rtree;
   publish_gen(std::move(next));
@@ -383,121 +233,20 @@ bool QueryEngine::mounted_index(IndexKind index) const {
   return snapshot_gen()->has(index);
 }
 
-const core::RTree* QueryEngine::resolve_rtree(const IndexGen& gen) const {
-  if (gen.rtree != nullptr) return gen.rtree;
-  if (!gen.rtree_stale) return nullptr;
-  if (const auto* ready = gen.lazy_rtree_ready.load(std::memory_order_acquire);
-      ready != nullptr) {
-    return ready;
-  }
-  std::lock_guard<std::mutex> lock(gen.lazy_mutex);
-  if (gen.lazy_rtree == nullptr) {
-    assert(gen.lines != nullptr && "stale R-tree requires the line store");
-    dpv::Context ctx;  // serial; no faults -- the rebuild must not abort
-    ctx.set_grain(opts_.grain);
-    auto built = std::make_shared<core::RTree>(
-        core::rtree_build(ctx, *gen.lines, gen.rtree_opts).tree);
-    gen.lazy_rtree = std::move(built);
-    gen.lazy_rtree_ready.store(gen.lazy_rtree.get(),
-                               std::memory_order_release);
-    lazy_rtree_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return gen.lazy_rtree.get();
-}
-
-const core::LinearQuadTree* QueryEngine::resolve_linear(
-    const IndexGen& gen) const {
-  if (gen.linear != nullptr) return gen.linear;
-  if (!gen.linear_stale) return nullptr;
-  if (const auto* ready =
-          gen.lazy_linear_ready.load(std::memory_order_acquire);
-      ready != nullptr) {
-    return ready;
-  }
-  std::lock_guard<std::mutex> lock(gen.lazy_mutex);
-  if (gen.lazy_linear == nullptr) {
-    assert(gen.quad != nullptr && "stale linear quadtree requires the quad");
-    gen.lazy_linear = std::make_shared<core::LinearQuadTree>(
-        core::LinearQuadTree::from(*gen.quad));
-    gen.lazy_linear_ready.store(gen.lazy_linear.get(),
-                                std::memory_order_release);
-    lazy_linear_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return gen.lazy_linear.get();
-}
-
-const core::QuadAggAnnotations* QueryEngine::resolve_quad_agg(
-    const IndexGen& gen) const {
-  if (gen.quad == nullptr) return nullptr;
-  if (const auto* ready =
-          gen.lazy_quad_agg_ready.load(std::memory_order_acquire);
-      ready != nullptr && ready->scope == agg_scope_) {
-    return ready;
-  }
-  std::lock_guard<std::mutex> lock(gen.lazy_mutex);
-  if (gen.lazy_quad_agg == nullptr ||
-      !(gen.lazy_quad_agg->scope == agg_scope_)) {
-    gen.lazy_quad_agg = std::make_shared<const core::QuadAggAnnotations>(
-        core::build_agg_annotations(*gen.quad, agg_scope_));
-    gen.lazy_quad_agg_ready.store(gen.lazy_quad_agg.get(),
-                                  std::memory_order_release);
-    agg_annotation_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return gen.lazy_quad_agg.get();
-}
-
-const core::RTreeAggAnnotations* QueryEngine::resolve_rtree_agg(
-    const IndexGen& gen) const {
-  const core::RTree* tree = resolve_rtree(gen);
-  if (tree == nullptr) return nullptr;
-  if (const auto* ready =
-          gen.lazy_rtree_agg_ready.load(std::memory_order_acquire);
-      ready != nullptr && ready->scope == agg_scope_) {
-    return ready;
-  }
-  std::lock_guard<std::mutex> lock(gen.lazy_mutex);
-  if (gen.lazy_rtree_agg == nullptr ||
-      !(gen.lazy_rtree_agg->scope == agg_scope_)) {
-    gen.lazy_rtree_agg = std::make_shared<const core::RTreeAggAnnotations>(
-        core::build_agg_annotations(*tree, agg_scope_));
-    gen.lazy_rtree_agg_ready.store(gen.lazy_rtree_agg.get(),
-                                   std::memory_order_release);
-    agg_annotation_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return gen.lazy_rtree_agg.get();
-}
-
-const core::LinearAggAnnotations* QueryEngine::resolve_linear_agg(
-    const IndexGen& gen) const {
-  const core::LinearQuadTree* tree = resolve_linear(gen);
-  if (tree == nullptr) return nullptr;
-  if (const auto* ready =
-          gen.lazy_linear_agg_ready.load(std::memory_order_acquire);
-      ready != nullptr && ready->scope == agg_scope_) {
-    return ready;
-  }
-  std::lock_guard<std::mutex> lock(gen.lazy_mutex);
-  if (gen.lazy_linear_agg == nullptr ||
-      !(gen.lazy_linear_agg->scope == agg_scope_)) {
-    gen.lazy_linear_agg = std::make_shared<const core::LinearAggAnnotations>(
-        core::build_agg_annotations(*tree, agg_scope_));
-    gen.lazy_linear_agg_ready.store(gen.lazy_linear_agg.get(),
-                                    std::memory_order_release);
-    agg_annotation_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return gen.lazy_linear_agg.get();
-}
-
 PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
                                        const UpdateOptions& opts) {
   PreparedUpdate out;
   const auto base = snapshot_gen();
-
-  if (core::validate_segments(batch.inserts, opts.build.world).has_value()) {
-    out.status = Status::kInvalidArgument;
+  const auto fail = [&](Status s) {
+    out.status = s;
+    out.dirty.clear();
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++metrics_.update_failures;
-    return out;
+    return std::move(out);
+  };
+
+  if (core::validate_segments(batch.inserts, opts.build.world).has_value()) {
+    return fail(Status::kInvalidArgument);
   }
 
   // The generation's surviving lines: the update-path store when present,
@@ -525,10 +274,7 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   std::unordered_set<geom::LineId> collide = live_ids;
   for (const geom::LineId id : doomed) collide.erase(id);
   if (core::validate_insert_ids(batch.inserts, collide).has_value()) {
-    out.status = Status::kInvalidArgument;
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.update_failures;
-    return out;
+    return fail(Status::kInvalidArgument);
   }
 
   for (const geom::LineId id : doomed) out.deleted += live_ids.count(id);
@@ -591,18 +337,10 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
     session_.merge_counters(ctx.counters());  // failed attempts worked too
   }
 
-  if (ctx.fault_pending()) {
-    out.status = Status::kRejected;
-    out.dirty.clear();
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.update_failures;
-    return out;
-  }
+  if (ctx.fault_pending()) return fail(Status::kRejected);
 
   auto next = std::make_shared<IndexGen>();
-  next->owned_quad =
-      std::make_shared<const core::QuadTree>(std::move(built.tree));
-  next->quad = next->owned_quad.get();
+  next->quad = std::make_shared<const core::QuadTree>(std::move(built.tree));
   next->lines = std::move(next_lines);
   next->quad_opts = opts.build;
   next->rtree_opts = opts.rtree;
@@ -622,23 +360,15 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   // shadow: the update thread absorbs the rebuild so the first reader
   // after the swap never blocks on the lazy mutex.
   if (opts.warm_siblings) {
-    if (next->rtree_stale) resolve_rtree(*next);
-    if (next->linear_stale) resolve_linear(*next);
+    const GenView view{*next, *this};
+    const core::RTree* rtree = view.rtree();
+    const core::LinearQuadTree* linear = view.linear();
     // Same for the aggregate annotations, but only where the base had
     // them: warming follows observed aggregate traffic, it does not
     // anticipate it.
-    if (base->lazy_quad_agg_ready.load(std::memory_order_acquire) !=
-        nullptr) {
-      resolve_quad_agg(*next);
-    }
-    if (base->lazy_rtree_agg_ready.load(std::memory_order_acquire) !=
-        nullptr) {
-      resolve_rtree_agg(*next);
-    }
-    if (base->lazy_linear_agg_ready.load(std::memory_order_acquire) !=
-        nullptr) {
-      resolve_linear_agg(*next);
-    }
+    if (base->quad_agg.ready() != nullptr) view.agg(*next->quad);
+    if (base->rtree_agg.ready() != nullptr && rtree) view.agg(*rtree);
+    if (base->linear_agg.ready() != nullptr && linear) view.agg(*linear);
   }
   out.gen = std::move(next);
   return out;
@@ -665,20 +395,15 @@ std::uint64_t QueryEngine::publish_update(PreparedUpdate&& prepared) {
 
 UpdateResult QueryEngine::apply_update(const UpdateBatch& batch,
                                        const UpdateOptions& opts) {
-  UpdateResult res;
   // Serialize against sibling updates; hold the mount lock *shared* so
   // reads never block on an update while a concurrent mount() still waits
   // for the whole operation.
   std::lock_guard<std::mutex> up(update_mutex_);
   std::shared_lock<std::shared_mutex> mounts(mount_mutex_);
   PreparedUpdate p = do_prepare(batch, opts);
-  res.status = p.status;
-  res.compacted = p.compacted;
-  res.inserted = p.inserted;
-  res.deleted = p.deleted;
-  res.unknown_deletes = p.unknown_deletes;
-  res.epoch =
-      p.ok() && p.gen != nullptr ? publish_update(std::move(p)) : mount_epoch();
+  UpdateResult res{p.status, 0,         p.compacted,
+                   p.inserted, p.deleted, p.unknown_deletes};
+  res.epoch = publish_update(std::move(p));  // no-op unless it built one
   return res;
 }
 
@@ -696,92 +421,13 @@ Status QueryEngine::pre_status(const Request& rq,
 
 Status QueryEngine::run_sequential(const IndexGen& gen, const Request& rq,
                                    Response& rsp) const {
-  switch (rq.kind) {
-    case RequestKind::kWindow:
-      switch (rq.index) {
-        case IndexKind::kQuadTree:
-          rsp.ids = core::window_query(*gen.quad, rq.window);
-          break;
-        case IndexKind::kRTree:
-          rsp.ids = core::window_query(*resolve_rtree(gen), rq.window);
-          break;
-        case IndexKind::kLinearQuadTree:
-          rsp.ids = resolve_linear(gen)->window_query(rq.window);
-          break;
-      }
-      return Status::kOk;
-    case RequestKind::kPoint:
-      switch (rq.index) {
-        case IndexKind::kQuadTree:
-          rsp.ids = core::point_query(*gen.quad, rq.point);
-          break;
-        case IndexKind::kRTree:
-          rsp.ids = core::point_query(*resolve_rtree(gen), rq.point);
-          break;
-        case IndexKind::kLinearQuadTree:
-          rsp.ids = resolve_linear(gen)->point_query(rq.point);
-          break;
-      }
-      return Status::kOk;
-    case RequestKind::kNearest:
-      rsp.neighbors = rq.index == IndexKind::kQuadTree
-                          ? core::k_nearest(*gen.quad, rq.point, rq.k)
-                          : core::k_nearest(*resolve_rtree(gen), rq.point,
-                                            rq.k);
-      return Status::kOk;
-    case RequestKind::kAggregate:
-      switch (rq.index) {
-        case IndexKind::kQuadTree:
-          rsp.aggregate = core::window_aggregate_seq(
-              *gen.quad, *resolve_quad_agg(gen), rq.window);
-          break;
-        case IndexKind::kRTree:
-          rsp.aggregate = core::window_aggregate_seq(
-              *resolve_rtree(gen), *resolve_rtree_agg(gen), rq.window);
-          break;
-        case IndexKind::kLinearQuadTree:
-          rsp.aggregate = core::window_aggregate_seq(
-              *resolve_linear(gen), *resolve_linear_agg(gen), rq.window);
-          break;
-      }
-      return Status::kOk;
-    case RequestKind::kJoin:
-      // Host joins; the quadtree one is the lock-step oracle (no dyadic
-      // blind spot), which is also the fault-free settle for an exhausted
-      // dp group.
-      switch (rq.index) {
-        case IndexKind::kQuadTree:
-          rsp.pairs = core::spatial_join(*gen.quad, *gen.probe_quad);
-          return Status::kOk;
-        case IndexKind::kRTree:
-          rsp.pairs =
-              core::rtree_join(*resolve_rtree(gen), *gen.probe_rtree);
-          return Status::kOk;
-        case IndexKind::kLinearQuadTree:
-          return Status::kRejected;
-      }
-      return Status::kRejected;
-  }
-  return Status::kRejected;
+  return kind_ops(rq.kind).seq(rq.index)(GenView{gen, *this}, rq, rsp);
 }
 
 Status QueryEngine::run_oracle(const Request& rq, Response& rsp) const {
   const auto gen = snapshot_gen();
-  const bool lqt_unsupported =
-      rq.index == IndexKind::kLinearQuadTree &&
-      (rq.kind == RequestKind::kNearest || rq.kind == RequestKind::kJoin);
-  if (!gen->has(rq.index) || lqt_unsupported) {
-    rsp.status = Status::kRejected;
-    return rsp.status;
-  }
-  if (rq.kind == RequestKind::kJoin) {
-    const Status probe = join_probe_status(*gen, rq.index);
-    if (probe != Status::kOk) {
-      rsp.status = probe;
-      return rsp.status;
-    }
-  }
-  rsp.status = run_sequential(*gen, rq, rsp);
+  rsp.status = support_status(*gen, rq.kind, rq.index);
+  if (rsp.status == Status::kOk) rsp.status = run_sequential(*gen, rq, rsp);
   return rsp.status;
 }
 
@@ -806,42 +452,19 @@ void QueryEngine::backoff(std::size_t shard, std::size_t attempt) const {
 
 std::size_t QueryEngine::index_elements(const IndexGen& gen,
                                         IndexKind index) const noexcept {
-  switch (index) {
-    case IndexKind::kQuadTree:
-      return gen.quad != nullptr ? gen.quad->num_qedges() : 0;
-    case IndexKind::kRTree:
-      if (gen.rtree != nullptr) return gen.rtree->entries().size();
-      if (const auto* ready =
-              gen.lazy_rtree_ready.load(std::memory_order_acquire);
-          ready != nullptr) {
-        return ready->entries().size();
-      }
-      // Stale and not yet materialized: estimate density from the line
-      // store rather than forcing the rebuild on the cost-model path.
-      return gen.rtree_stale && gen.lines != nullptr ? gen.lines->size() : 0;
-    case IndexKind::kLinearQuadTree:
-      if (gen.linear != nullptr) return gen.linear->edges().size();
-      if (const auto* ready =
-              gen.lazy_linear_ready.load(std::memory_order_acquire);
-          ready != nullptr) {
-        return ready->edges().size();
-      }
-      return gen.linear_stale && gen.quad != nullptr ? gen.quad->num_qedges()
-                                                     : 0;
+  if (index == IndexKind::kQuadTree) {
+    return gen.quad != nullptr ? gen.quad->num_qedges() : 0;
   }
-  return 0;
-}
-
-dpv::GroupShape QueryEngine::group_shape(const IndexGen& gen, RequestKind kind,
-                                         IndexKind index, std::size_t n,
-                                         std::size_t mean_k) const noexcept {
-  dpv::GroupShape g;
-  g.kind = static_cast<int>(kind);
-  g.index = static_cast<int>(index);
-  g.group_size = n;
-  g.map_elements = index_elements(gen, index);
-  g.mean_k = mean_k;
-  return g;
+  // A stale sibling not yet materialized: estimate density from what it
+  // will be rebuilt from rather than forcing the rebuild on this path.
+  if (index == IndexKind::kRTree) {
+    if (const core::RTree* r = gen.rtree.ready()) return r->entries().size();
+    return gen.rtree_stale && gen.lines != nullptr ? gen.lines->size() : 0;
+  }
+  if (const core::LinearQuadTree* l = gen.linear.ready()) {
+    return l->edges().size();
+  }
+  return gen.linear_stale && gen.quad != nullptr ? gen.quad->num_qedges() : 0;
 }
 
 void QueryEngine::run_group(const IndexGen& gen,
@@ -862,17 +485,10 @@ void QueryEngine::run_group(const IndexGen& gen,
       backoff(shard, attempt);
       // Deadlines may have fired during the backoff; settle the dead so
       // one slow retry cannot void its group-mates.
-      std::vector<std::size_t> still;
-      still.reserve(live.size());
-      for (const std::size_t i : live) {
-        const Status s = pre_status(batch[i], xcancel);
-        if (s == Status::kOk) {
-          still.push_back(i);
-        } else {
-          responses[i].status = s;
-        }
-      }
-      live.swap(still);
+      std::erase_if(live, [&](std::size_t i) {
+        responses[i].status = pre_status(batch[i], xcancel);
+        return responses[i].status != Status::kOk;
+      });
       if (live.empty()) return;
     }
 
@@ -892,10 +508,9 @@ void QueryEngine::run_group(const IndexGen& gen,
     if (inj != nullptr) ctx.arm_fault_injection(inj, scope);
     // Persistent per-shard scratch arena: the pipeline's round scope
     // recycles the previous serve()'s buffers, so steady-state groups of
-    // stable shape allocate nothing.  Safe without locks: a shard is
-    // drained by exactly one lane per batch, and batches on the pool are
-    // serialized (launch + join), so arena use is always sequenced.
-    if (!arenas_.empty()) ctx.set_arena(arenas_[shard].get());
+    // stable shape allocate nothing.  serve() holds the arena's mutex for
+    // the whole shard, so concurrent batches never share it.
+    if (!arenas_.empty()) ctx.set_arena(&arenas_[shard]->arena);
 
     // Earliest deadline in the group arms the pipeline's control; the
     // engine kill switch is polled through the same hook.
@@ -909,130 +524,8 @@ void QueryEngine::run_group(const IndexGen& gen,
       }
     }
 
-    bool pipeline_ok = false;
-    if (kind == RequestKind::kNearest) {
-      // The serve boundary rejects (kNearest, kLinearQuadTree) before
-      // grouping, so only the two tree pipelines can reach here.
-      std::vector<geom::Point> points(live.size());
-      std::vector<std::size_t> ks(live.size());
-      for (std::size_t j = 0; j < live.size(); ++j) {
-        points[j] = batch[live[j]].point;
-        ks[j] = batch[live[j]].k;
-      }
-      core::BatchNearestResult nearest =
-          index == IndexKind::kQuadTree
-              ? core::batch_k_nearest(ctx, *gen.quad, points, ks, control)
-              : core::batch_k_nearest(ctx, *resolve_rtree(gen), points, ks,
-                                      control);
-      pipeline_ok = !nearest.aborted;
-      if (pipeline_ok) {
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          responses[live[j]].neighbors = std::move(nearest.results[j]);
-          responses[live[j]].status = Status::kOk;
-        }
-      }
-    } else if (kind == RequestKind::kAggregate) {
-      std::vector<geom::Rect> windows(live.size());
-      for (std::size_t j = 0; j < live.size(); ++j) {
-        windows[j] = batch[live[j]].window;
-      }
-      core::BatchAggregateResult agg;
-      switch (index) {
-        case IndexKind::kQuadTree:
-          agg = core::batch_window_aggregate(ctx, *gen.quad,
-                                             *resolve_quad_agg(gen), windows,
-                                             control);
-          break;
-        case IndexKind::kRTree: {
-          const core::RTree* tree = resolve_rtree(gen);
-          agg = core::batch_window_aggregate(ctx, *tree,
-                                             *resolve_rtree_agg(gen), windows,
-                                             control);
-          break;
-        }
-        case IndexKind::kLinearQuadTree: {
-          const core::LinearQuadTree* tree = resolve_linear(gen);
-          agg = core::batch_window_aggregate(ctx, *tree,
-                                             *resolve_linear_agg(gen),
-                                             windows, control);
-          break;
-        }
-      }
-      pipeline_ok = !agg.aborted;
-      if (pipeline_ok) {
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          responses[live[j]].aggregate = agg.results[j];
-          responses[live[j]].status = Status::kOk;
-        }
-      }
-    } else if (kind == RequestKind::kJoin) {
-      // Every join request in the group asks the same question (the two
-      // mounted maps carry the whole payload): compute the answer once,
-      // copy it to the group.  The quadtree runs the data-parallel
-      // common-decomposition join; the R-tree join is the host MBR-pruned
-      // descent (no faults to latch, so its attempt always lands).
-      std::vector<std::pair<geom::LineId, geom::LineId>> pairs =
-          index == IndexKind::kQuadTree
-              ? core::dp_spatial_join(ctx, *gen.quad, *gen.probe_quad)
-              : core::rtree_join(*resolve_rtree(gen), *gen.probe_rtree);
-      // dp_spatial_join has no mid-flight control poll; settle fired
-      // controls after the fact and treat a latched fault as an aborted
-      // attempt like any pipeline.
-      pipeline_ok = !core::batch_aborting(ctx, control);
-      if (pipeline_ok) {
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          responses[live[j]].pairs =
-              j + 1 == live.size() ? std::move(pairs) : pairs;
-          responses[live[j]].status = Status::kOk;
-        }
-      }
-    } else {
-      core::BatchQueryResult result;
-      if (kind == RequestKind::kWindow) {
-        std::vector<geom::Rect> windows(live.size());
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          windows[j] = batch[live[j]].window;
-        }
-        switch (index) {
-          case IndexKind::kQuadTree:
-            result = core::batch_window_query(ctx, *gen.quad, windows, control);
-            break;
-          case IndexKind::kRTree:
-            result = core::batch_window_query(ctx, *resolve_rtree(gen),
-                                              windows, control);
-            break;
-          case IndexKind::kLinearQuadTree:
-            result = core::batch_window_query(ctx, *resolve_linear(gen),
-                                              windows, control);
-            break;
-        }
-      } else {
-        std::vector<geom::Point> points(live.size());
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          points[j] = batch[live[j]].point;
-        }
-        switch (index) {
-          case IndexKind::kQuadTree:
-            result = core::batch_point_query(ctx, *gen.quad, points, control);
-            break;
-          case IndexKind::kRTree:
-            result = core::batch_point_query(ctx, *resolve_rtree(gen), points,
-                                             control);
-            break;
-          case IndexKind::kLinearQuadTree:
-            result = core::batch_point_query(ctx, *resolve_linear(gen),
-                                             points, control);
-            break;
-        }
-      }
-      pipeline_ok = !result.aborted;
-      if (pipeline_ok) {
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          responses[live[j]].ids = std::move(result.results[j]);
-          responses[live[j]].status = Status::kOk;
-        }
-      }
-    }
+    const bool pipeline_ok = kind_ops(kind).dp(index)(
+        ctx, GenView{gen, *this}, batch, live, control, responses);
     // Failed attempts did real primitive work; the ledger records it.
     scratch.prims += ctx.counters();
 
@@ -1070,11 +563,11 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
                                  std::size_t shard,
                                  const std::atomic<bool>* xcancel,
                                  ShardScratch& scratch) {
-  // A join group is one computation no matter how many requests ride it
-  // (the mounted maps carry the whole payload), so the group-size cost
-  // model has nothing to price: run the attempt chain directly and keep
-  // the model untrained on it.
-  if (kind == RequestKind::kJoin) {
+  // A one-computation group (join: the mounted maps carry the whole
+  // payload) gives the group-size cost model nothing to price: run the
+  // attempt chain directly and keep the model untrained on it.
+  const KindOps& ops = kind_ops(kind);
+  if (ops.one_per_group) {
     run_group(gen, batch, responses, kind, index, live, shard, xcancel,
               scratch);
     return;
@@ -1084,6 +577,12 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
   // poison the estimator, so the model only learns from clean engines.
   const bool observe = opts_.fault_injector == nullptr;
 
+  // The cost model's view of a group of `n` requests (mean_k = 0 unless
+  // the kind is k-bucketed).
+  const auto shape = [&](std::size_t n, std::size_t mk) {
+    return dpv::GroupShape{static_cast<int>(kind), static_cast<int>(index), n,
+                           index_elements(gen, index), mk};
+  };
   const auto mean_k = [&batch](const std::vector<std::size_t>& sub) {
     std::size_t sum = 0;
     for (const std::size_t i : sub) sum += batch[i].k;
@@ -1106,8 +605,8 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
       }
     }
     if (observe && executed == sub.size()) {
-      cost_model_.observe(group_shape(gen, kind, index, sub.size(), mk),
-                          dpv::CostPath::kSeq, observe_clock_us() - t);
+      cost_model_.observe(shape(sub.size(), mk), dpv::CostPath::kSeq,
+                          observe_clock_us() - t);
     }
   };
 
@@ -1117,13 +616,12 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
     run_group(gen, batch, responses, kind, index, sub, shard, xcancel, scratch,
               &dp_attempt_us);
     if (observe && dp_attempt_us >= 0.0) {
-      cost_model_.observe(group_shape(gen, kind, index, sub.size(), mk),
-                          dpv::CostPath::kDp, dp_attempt_us);
+      cost_model_.observe(shape(sub.size(), mk), dpv::CostPath::kDp,
+                          dp_attempt_us);
     }
   };
 
-  const std::size_t group_k =
-      kind == RequestKind::kNearest ? mean_k(live) : 0;
+  const std::size_t group_k = ops.k_bucketed ? mean_k(live) : 0;
   switch (opts_.dispatch) {
     case DispatchMode::kForceDp:
       run_dp(live, group_k);
@@ -1142,10 +640,8 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
       break;
   }
 
-  if (kind != RequestKind::kNearest) {
-    const dpv::CostDecision d =
-        cost_model_.decide(group_shape(gen, kind, index, live.size(), 0));
-    if (d.use_dp) {
+  if (!ops.k_bucketed) {
+    if (cost_model_.decide(shape(live.size(), 0)).use_dp) {
       run_dp(live, 0);
     } else {
       run_seq(live, 0);
@@ -1153,7 +649,7 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
     return;
   }
 
-  // k-nearest groups decide per k bucket, which is where the hybrid split
+  // k-bucketed groups decide per k bucket, which is where the hybrid split
   // comes from: a small-k (or just small) bucket whose measured sequential
   // cost beats the dp estimate by `hybrid_margin` peels out of the
   // pipeline, the rest run as one dp group.
@@ -1169,8 +665,7 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
   for (auto& bucket : buckets) {
     if (bucket.empty()) continue;
     const std::size_t mk = mean_k(bucket);
-    const dpv::CostDecision d =
-        cost_model_.decide(group_shape(gen, kind, index, bucket.size(), mk));
+    const dpv::CostDecision d = cost_model_.decide(shape(bucket.size(), mk));
     bool seq = !d.use_dp;
     if (seq && d.measured && !d.explored) {
       // Peeling shrinks the dp group everyone else amortizes against, so a
@@ -1226,32 +721,18 @@ void QueryEngine::execute_shard(const IndexGen& gen,
     const auto index = static_cast<IndexKind>(g % kNumIndexes);
     const auto tgroup = Clock::now();
 
-    const bool lqt_unsupported =
-        index == IndexKind::kLinearQuadTree &&
-        (kind == RequestKind::kNearest || kind == RequestKind::kJoin);
-    const bool supported = gen.has(index) && !lqt_unsupported;
-    // A supported join still needs its probe operand: unmounted or empty
-    // settles the group kInvalidArgument at the boundary, per the
-    // validate_probe_map contract.
-    const Status gate_status =
-        !supported ? Status::kRejected
-        : kind == RequestKind::kJoin ? join_probe_status(gen, index)
-                                     : Status::kOk;
+    // Unsupported pairs and unmounted indexes settle kRejected, a join
+    // without its probe operand kInvalidArgument.
+    const Status gate_status = support_status(gen, kind, index);
 
     // Settle structurally rejected and already-dead requests up front.
     std::vector<std::size_t> live;
     live.reserve(groups[g].size());
     for (const std::size_t i : groups[g]) {
-      if (gate_status != Status::kOk) {
-        responses[i].status = gate_status;
-        continue;
-      }
-      const Status s = pre_status(batch[i], xcancel);
-      if (s == Status::kOk) {
-        live.push_back(i);
-      } else {
-        responses[i].status = s;
-      }
+      responses[i].status = gate_status != Status::kOk
+                                ? gate_status
+                                : pre_status(batch[i], xcancel);
+      if (responses[i].status == Status::kOk) live.push_back(i);
     }
 
     if (!live.empty()) {
@@ -1262,19 +743,8 @@ void QueryEngine::execute_shard(const IndexGen& gen,
                      scratch);
     }
 
-    const double group_ms = ms_since(tgroup);
-    switch (kind) {
-      case RequestKind::kWindow: scratch.stages.window_ms += group_ms; break;
-      case RequestKind::kPoint: scratch.stages.point_ms += group_ms; break;
-      case RequestKind::kNearest: scratch.stages.nearest_ms += group_ms; break;
-      case RequestKind::kAggregate:
-        scratch.stages.aggregate_ms += group_ms;
-        break;
-      case RequestKind::kJoin: scratch.stages.join_ms += group_ms; break;
-    }
-    for (const std::size_t i : groups[g]) {
-      responses[i].latency_us = us_since(t0);
-    }
+    scratch.stages.*kind_ops(kind).stage += ms_since(tgroup);
+    for (const auto i : groups[g]) responses[i].latency_us = us_since(t0);
   }
 }
 
@@ -1335,10 +805,14 @@ std::vector<Response> QueryEngine::serve(const std::vector<Request>& batch,
       pool_->run(lanes, [&](std::size_t lane) {
         for (std::size_t s = lane; s < k; s += lanes) {
           const auto [lo, hi] = dpv::Context::block_range(n, k, s);
-          if (lo < hi) {
-            execute_shard(*gen, batch, gate, responses, t0, s, lo, hi,
-                          xcancel, scratch[s]);
-          }
+          if (lo >= hi) continue;
+          // A one-lane batch runs inline on the caller's thread, outside
+          // the pool's launch serialization, so concurrent serve() calls
+          // can reach the same shard: its arena mutex sequences them.
+          std::unique_lock<std::mutex> arena;
+          if (!arenas_.empty()) arena = std::unique_lock(arenas_[s]->mutex);
+          execute_shard(*gen, batch, gate, responses, t0, s, lo, hi, xcancel,
+                        scratch[s]);
         }
       });
 #ifndef NDEBUG
@@ -1355,13 +829,7 @@ std::vector<Response> QueryEngine::serve(const std::vector<Request>& batch,
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    switch (batch[i].kind) {
-      case RequestKind::kWindow: ++delta.window_requests; break;
-      case RequestKind::kPoint: ++delta.point_requests; break;
-      case RequestKind::kNearest: ++delta.nearest_requests; break;
-      case RequestKind::kAggregate: ++delta.aggregate_requests; break;
-      case RequestKind::kJoin: ++delta.join_requests; break;
-    }
+    ++(delta.*kind_ops(batch[i].kind).requests);
     switch (responses[i].status) {
       case Status::kOk: ++delta.ok; break;
       case Status::kDeadlineExpired: ++delta.expired; break;

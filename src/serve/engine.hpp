@@ -21,9 +21,10 @@
 //     of the engine's ThreadPool with its own serial `dpv::Context`
 //     (forked via `Context::fork_serial`), so concurrent shards never race
 //     on a primitive ledger.  Within a shard, requests regroup by
-//     (kind, index) and each group runs the corresponding batch pipeline
-//     (`batch_window_query`, `batch_point_query`) in one data-parallel
-//     shot.
+//     (kind, index) and each group runs its kind's data-parallel kernel
+//     (`batch_window_query`, `batch_point_query`, `batch_k_nearest`,
+//     `batch_window_aggregate`, `dp_spatial_join`; see serve/kinds.hpp)
+//     in one shot.
 //   * Retry with backoff.  When a group's data-parallel attempt aborts on
 //     an injected fault (or a poisoned shard attempt), surviving requests
 //     retry up to `max_retries` more times behind exponential backoff with
@@ -37,11 +38,9 @@
 //     scope = (shard, attempt)) and into the engine pool (lane stalls),
 //     so chaos schedules replay bit-identically: same seed, same
 //     responses, same retry metrics, on serial and thread-pool backends.
-//   * Oracular dispatch.  Every supported (kind, index) combination --
-//     (window/point/range-aggregate) x (quadtree / linear-quadtree /
-//     R-tree), k-nearest x (quadtree / R-tree), and map-vs-map join x
-//     (quadtree / R-tree) -- has a data-parallel batch
-//     pipeline, but whether a group takes it is decided by an online
+//   * Oracular dispatch.  Every supported (kind, index) pair has a
+//     data-parallel kernel, but whether a group takes it is decided by an
+//     online
 //     `dpv::CostModel`: measured wall-clock per (kind x index x
 //     map-density x batch-size bucket) picks dp vs sequential per group,
 //     k-nearest groups may *split* (small-k tail sequential, bulk dp),
@@ -51,7 +50,9 @@
 //   * Scratch arenas.  Each shard owns a persistent `dpv::Arena`; the
 //     batch pipelines open a round scope on it, so a steady-state shard
 //     recycles the previous batch's scratch buffers and allocates nothing
-//     (`EngineOptions::scratch_arena`, on by default).
+//     (`EngineOptions::scratch_arena`, on by default).  A per-arena mutex,
+//     held while a batch executes the shard, keeps concurrent serve()
+//     calls off each other's scratch.
 //   * Deadlines / cancellation.  Every request may carry an absolute
 //     deadline, and the engine has a batch-wide kill switch
 //     (`cancel_all`).  Both feed the `core::BatchControl` hook polled by
@@ -116,9 +117,10 @@
 
 namespace dps::serve {
 
-/// One immutable index generation (defined in engine.cpp): the active
-/// index pointers plus ownership, staleness, and lazy-rebuild state.
+/// One immutable index generation (serve/kinds.hpp): the active
+/// indexes plus staleness and lazy-rebuild state.
 struct IndexGen;
+struct GenView;
 
 /// A built-but-unpublished index generation: the outcome of
 /// `QueryEngine::prepare_update`.  `publish_update` swaps it in; dropping
@@ -346,7 +348,7 @@ class QueryEngine {
   dpv::ArenaStats arena_stats() const noexcept {
     dpv::ArenaStats sum;
     for (const auto& a : arenas_) {
-      const dpv::ArenaStats& s = a->stats();
+      const dpv::ArenaStats& s = a->arena.stats();
       sum.mallocs += s.mallocs;
       sum.hits += s.hits;
       sum.round_mallocs += s.round_mallocs;
@@ -358,6 +360,8 @@ class QueryEngine {
   }
 
  private:
+  friend struct GenView;  // lazy builds read opts_, agg_scope_, counters
+
   // Per-shard scratch the worker session fills; folded into the session
   // ledger after the fork joins.
   struct ShardScratch {
@@ -402,12 +406,6 @@ class QueryEngine {
   std::size_t index_elements(const IndexGen& gen,
                              IndexKind index) const noexcept;
 
-  /// The cost model's view of a group of `n` requests (mean_k = 0 for
-  /// non-k-nearest kinds).
-  dpv::GroupShape group_shape(const IndexGen& gen, RequestKind kind,
-                              IndexKind index, std::size_t n,
-                              std::size_t mean_k) const noexcept;
-
   /// kCancelled / kDeadlineExpired / kOk ("runnable") for a request now.
   Status pre_status(const Request& rq,
                     const std::atomic<bool>* xcancel) const noexcept;
@@ -429,23 +427,6 @@ class QueryEngine {
   std::uint64_t publish_gen(std::shared_ptr<const IndexGen> next,
                             bool park = true);
 
-  /// The generation's R-tree / linear quadtree, lazily rebuilt on first
-  /// use when the generation marks them stale (counted in metrics);
-  /// nullptr when the generation has no such capability.
-  const core::RTree* resolve_rtree(const IndexGen& gen) const;
-  const core::LinearQuadTree* resolve_linear(const IndexGen& gen) const;
-
-  /// The generation's aggregate annotations for one index, lazily built on
-  /// first kAggregate use (double-checked like the sibling rebuilds) and
-  /// rebuilt when the engine's scope no longer matches the stored one.
-  /// Shared across adopters, so a cluster backup reuses its primary's
-  /// build.  nullptr when the generation lacks the index.
-  const core::QuadAggAnnotations* resolve_quad_agg(const IndexGen& gen) const;
-  const core::RTreeAggAnnotations* resolve_rtree_agg(
-      const IndexGen& gen) const;
-  const core::LinearAggAnnotations* resolve_linear_agg(
-      const IndexGen& gen) const;
-
   /// Shadow-build phase of apply_update; caller holds `update_mutex_` and
   /// the shared mount lock.
   PreparedUpdate do_prepare(const UpdateBatch& batch,
@@ -455,10 +436,15 @@ class QueryEngine {
   std::size_t shards_ = 1;
   std::shared_ptr<dpv::ThreadPool> pool_;
   dpv::Context shard_template_;  // serial; forked per worker session
-  // Persistent per-shard scratch arenas (empty when scratch_arena is off).
+  // Persistent per-shard scratch arenas (empty when scratch_arena is off),
+  // each behind the mutex serve() holds while a batch executes its shard.
   // unique_ptr: blocks reference their arena by address, so an arena must
   // never move.
-  std::vector<std::unique_ptr<dpv::Arena>> arenas_;
+  struct ShardArena {
+    std::mutex mutex;
+    dpv::Arena arena;
+  };
+  std::vector<std::unique_ptr<ShardArena>> arenas_;
 
   // The published index generation, swapped RCU-style: writers build a
   // new IndexGen and swap the pointer; readers pin it with one shared_ptr
@@ -481,7 +467,8 @@ class QueryEngine {
   mutable std::atomic<std::uint64_t> lazy_rtree_builds_{0};
   mutable std::atomic<std::uint64_t> lazy_linear_builds_{0};
   // Aggregate-annotation builds (lazy, per generation x index); the reuse
-  // counterpart of the sibling counters above.
+  // counterpart of the sibling counters above.  All three count in
+  // GenView, the one place lazy state materializes.
   mutable std::atomic<std::uint64_t> agg_annotation_builds_{0};
 
   // Scope every aggregate answer is filtered through (set_aggregate_scope;

@@ -61,7 +61,7 @@ struct StageTimes {
   double shard_ms = 0.0;      // partition requests into per-shard groups
   double window_ms = 0.0;     // window groups (batch pipeline or sequential)
   double point_ms = 0.0;      // point groups
-  double nearest_ms = 0.0;    // k-nearest groups (always sequential)
+  double nearest_ms = 0.0;    // k-nearest groups
   double aggregate_ms = 0.0;  // range-aggregate groups
   double join_ms = 0.0;       // map-vs-map join groups
   double merge_ms = 0.0;      // fold shard ledgers/metrics into the session
@@ -89,8 +89,8 @@ struct ServeMetrics {
   std::uint64_t join_requests = 0;
 
   // Execution-path split: groups that ran the data-parallel pipeline vs
-  // groups degraded to per-request sequential traversal (model/prior
-  // decision, indexes without a batch pipeline, or deadline fallback).
+  // groups that walked the per-request sequential path (dispatch decision,
+  // exhausted retries, or a deadline / cancel abort).
   // `hybrid_groups` counts k-nearest groups the cost model split -- the
   // small-k tail walked sequentially while the bulk ran the dp pipeline
   // (such a group increments dp_groups, seq_groups, and hybrid_groups).

@@ -64,7 +64,7 @@ struct Request {
   Priority priority = Priority::kNormal;
   /// Absolute deadline; nullopt = none.  Any concrete time point --
   /// including the epoch -- is a real (expired) deadline.
-  std::optional<Clock::time_point> deadline;
+  std::optional<Clock::time_point> deadline{};
   /// Skip the cluster's result cache for this request (both lookup and
   /// fill), so chaos and measurement runs can exercise the routed path on
   /// demand.  Ignored by a bare QueryEngine.
@@ -79,45 +79,25 @@ struct Request {
   bool has_deadline() const noexcept { return deadline.has_value(); }
 
   static Request window_query(IndexKind idx, const geom::Rect& w) {
-    Request r;
-    r.kind = RequestKind::kWindow;
-    r.index = idx;
-    r.window = w;
-    return r;
+    return {.kind = RequestKind::kWindow, .index = idx, .window = w};
   }
   static Request point_query(IndexKind idx, const geom::Point& p) {
-    Request r;
-    r.kind = RequestKind::kPoint;
-    r.index = idx;
-    r.point = p;
-    return r;
+    return {.kind = RequestKind::kPoint, .index = idx, .point = p};
   }
   static Request nearest_query(IndexKind idx, const geom::Point& p,
                                std::size_t k) {
-    Request r;
-    r.kind = RequestKind::kNearest;
-    r.index = idx;
-    r.point = p;
-    r.k = k;
-    return r;
+    return {.kind = RequestKind::kNearest, .index = idx, .point = p, .k = k};
   }
   /// Range aggregate over `w`: count / clipped length / clipped bbox /
   /// centroid sums of the lines hitting the window, no ids materialized.
   static Request aggregate_query(IndexKind idx, const geom::Rect& w) {
-    Request r;
-    r.kind = RequestKind::kAggregate;
-    r.index = idx;
-    r.window = w;
-    return r;
+    return {.kind = RequestKind::kAggregate, .index = idx, .window = w};
   }
   /// Map-vs-map spatial join of the mounted base map against the mounted
   /// probe map (QueryEngine::mount_probe / Cluster::mount_probe).  Carries
   /// no geometry payload; unsupported on the linear quadtree.
   static Request join_query(IndexKind idx) {
-    Request r;
-    r.kind = RequestKind::kJoin;
-    r.index = idx;
-    return r;
+    return {.kind = RequestKind::kJoin, .index = idx};
   }
 
   Request& with_priority(Priority p) {

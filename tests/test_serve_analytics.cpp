@@ -24,6 +24,7 @@
 #include "data/data.hpp"
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
+#include "serve/kinds.hpp"
 #include "test_util.hpp"
 
 namespace dps::serve {
@@ -394,6 +395,67 @@ TEST(ServeAnalyticsCluster, LiveUpdatesKeepAggregatesAndJoinsExact) {
   const core::QuadTree probe_quad = core::pmr_build(ctx, probe, po).tree;
   ASSERT_EQ(post[1].status, Status::kOk);
   EXPECT_EQ(post[1].pairs, core::spatial_join(twin_quad, probe_quad));
+}
+
+// ---- Support matrix: every layer settles every (kind, index) alike. ----
+
+// All 15 (kind, index) pairs, with and without a probe map: the engine's
+// batch path, its sequential oracle, the cluster door at 1 and 4 shards,
+// and the kind table agree on kOk / kRejected / kInvalidArgument.  The
+// linear quadtree answers neither k-nearest nor joins; a join without a
+// probe map is a caller error.
+TEST_F(ServeAnalyticsEngineTest, SupportMatrixAgreesAcrossLayers) {
+  const geom::Rect w{100.0, 100.0, 260.0, 220.0};
+  const geom::Point p = base_[7].mid();
+  const auto request = [&](RequestKind kind, IndexKind idx) {
+    switch (kind) {
+      case RequestKind::kWindow: return Request::window_query(idx, w);
+      case RequestKind::kPoint: return Request::point_query(idx, p);
+      case RequestKind::kNearest: return Request::nearest_query(idx, p, 3);
+      case RequestKind::kAggregate: return Request::aggregate_query(idx, w);
+      case RequestKind::kJoin: break;
+    }
+    return Request::join_query(idx);
+  };
+  for (const bool with_probe : {true, false}) {
+    auto engine = make_engine();
+    if (with_probe) engine->mount_probe(&probe_quad_, &probe_rtree_);
+    std::vector<std::unique_ptr<Cluster>> clusters;
+    for (const std::size_t shards : {1u, 4u}) {
+      ClusterOptions co;
+      co.shards = shards;
+      clusters.push_back(std::make_unique<Cluster>(co));
+      clusters.back()->mount(base_, mount_options());
+      if (with_probe) clusters.back()->mount_probe(probe_);
+    }
+    for (std::size_t k = 0; k < kNumKinds; ++k) {
+      for (std::size_t i = 0; i < kNumIndexes; ++i) {
+        const auto kind = static_cast<RequestKind>(k);
+        const auto idx = static_cast<IndexKind>(i);
+        SCOPED_TRACE(::testing::Message() << "kind " << k << ", index " << i
+                                          << ", probe " << with_probe);
+        const bool supported =
+            idx != IndexKind::kLinearQuadTree ||
+            (kind != RequestKind::kNearest && kind != RequestKind::kJoin);
+        const Status want = !supported ? Status::kRejected
+                            : kind == RequestKind::kJoin && !with_probe
+                                ? Status::kInvalidArgument
+                                : Status::kOk;
+        const KindOps& ops = kind_ops(kind);
+        EXPECT_EQ(ops.supports(idx), supported);
+        EXPECT_EQ(ops.needs_probe, kind == RequestKind::kJoin);
+
+        const Request rq = request(kind, idx);
+        EXPECT_EQ(engine->serve({rq})[0].status, want) << "engine serve";
+        Response oracle_rsp;
+        EXPECT_EQ(engine->run_oracle(rq, oracle_rsp), want) << "run_oracle";
+        for (const auto& c : clusters) {
+          EXPECT_EQ(c->serve({rq})[0].status, want)
+              << "cluster, " << c->shards() << " shards";
+        }
+      }
+    }
+  }
 }
 
 // ---- Cache canonicalization hardening (all five kinds). ----

@@ -325,33 +325,59 @@ TEST_F(QueryEngineTest, DataParallelPathChargesTheSessionLedger) {
   EXPECT_EQ(engine->metrics().requests, 0u);
 }
 
+// Concurrent callers must never share a shard's scratch arena.  Besides
+// the pooled two-lane launch, two configurations run each batch on one
+// lane -- inline on the caller's thread, outside the pool's launch
+// serialization: one thread and one shard, and one-request batches (forced
+// onto the dp pipeline so every call opens an arena round).
 TEST_F(QueryEngineTest, ConcurrentServeCallersMatchSequential) {
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.threads = 2;
-  opts.min_dp_batch = 4;
-  auto engine = make_engine(opts);
-  constexpr int kCallers = 4;
-  std::vector<std::vector<Request>> batches;
-  std::vector<std::vector<Response>> answers(kCallers);
-  for (int c = 0; c < kCallers; ++c) {
-    batches.push_back(mixed_requests(60 + 7 * c));
+  struct Config {
+    std::size_t threads;
+    std::size_t shards;
+    bool one_request_batches;
+  };
+  for (const Config cfg : {Config{2, 2, false}, Config{1, 1, false},
+                           Config{2, 2, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "threads " << cfg.threads << ", shards " << cfg.shards
+                 << (cfg.one_request_batches ? ", one-request batches" : ""));
+    EngineOptions opts;
+    opts.shards = cfg.shards;
+    opts.threads = cfg.threads;
+    opts.min_dp_batch = 4;
+    if (cfg.one_request_batches) opts.dispatch = DispatchMode::kForceDp;
+    auto engine = make_engine(opts);
+    constexpr int kCallers = 4;
+    std::vector<std::vector<Request>> batches;
+    std::vector<std::vector<Response>> answers(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      batches.push_back(mixed_requests(60 + 7 * c));
+    }
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        if (!cfg.one_request_batches) {
+          answers[c] = engine->serve(batches[c]);
+          return;
+        }
+        for (const Request& rq : batches[c]) {
+          answers[c].push_back(engine->serve(std::vector<Request>{rq})[0]);
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (int c = 0; c < kCallers; ++c) {
+      expect_matches_sequential(batches[c], answers[c]);
+    }
+    std::uint64_t total = 0;
+    for (const auto& b : batches) total += b.size();
+    const ServeMetrics m = engine->metrics();
+    EXPECT_EQ(m.requests, total);
+    EXPECT_EQ(m.ok, total);
+    EXPECT_EQ(m.batches, cfg.one_request_batches
+                             ? total
+                             : static_cast<std::uint64_t>(kCallers));
   }
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back(
-        [&, c] { answers[c] = engine->serve(batches[c]); });
-  }
-  for (auto& t : callers) t.join();
-  for (int c = 0; c < kCallers; ++c) {
-    expect_matches_sequential(batches[c], answers[c]);
-  }
-  std::uint64_t total = 0;
-  for (const auto& b : batches) total += b.size();
-  const ServeMetrics m = engine->metrics();
-  EXPECT_EQ(m.requests, total);
-  EXPECT_EQ(m.ok, total);
-  EXPECT_EQ(m.batches, static_cast<std::uint64_t>(kCallers));
 }
 
 TEST(LatencyHistogram, RecordsIntoFineBuckets) {
