@@ -646,8 +646,8 @@ int main(int argc, char** argv) {
   // every subrequest.  Client latency is measured from the *scheduled*
   // arrival, so queueing delay counts (open-loop, not closed-loop).  With
   // hedging off, the stall rides every affected batch and the backlog
-  // compounds; with hedging on, the whole-map hedge fires at the clamped
-  // delay and bounds ok-p99.  Both arms must stay byte-identical: hedge
+  // compounds; with hedging on, the hedge to replica 0's backup (mounted
+  // because hedging is on) fires at the clamped delay and bounds ok-p99.  Both arms must stay byte-identical: hedge
   // answers are exact, never approximate.
   constexpr std::size_t kTraceBatches = 150;
   constexpr std::size_t kTraceBatch = 8;

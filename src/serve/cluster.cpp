@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <limits>
+#include <list>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -19,7 +20,7 @@ double us_since(Clock::time_point t) {
 }
 
 /// Absolute wait budget for a subrequest job: the earliest request
-/// deadline minus `reserve` (so the sequential fallback settle still fits
+/// deadline minus `reserve` (so the sequential oracle settle still fits
 /// inside the deadline; when the deadline is nearer than the reserve the
 /// full window is used), further capped by `cap` when set.  The epoch
 /// means "no budget: wait for the reply".
@@ -114,7 +115,6 @@ struct Cluster::SubJob {
   QueryEngine* engine = nullptr;
   std::size_t replica = 0;   // owning primary's coordinate
   bool is_primary = true;    // hedges never feed the ledger or faults
-  bool whole_map = false;    // fallback-engine hedge: answer is global
   dpv::FaultInjector* injector = nullptr;
   std::uint64_t fault_scope = 0;
   std::vector<Request> reqs;
@@ -170,14 +170,12 @@ struct Cluster::RoundSlot {
   bool hedge_decided = false;  // hedge fired, or ruled out for this slot
 
   /// The usable answer at `pos`: the primary's, else the hedge's (setting
-  /// `hedged`, and `whole` when the hedge answered for the whole map);
-  /// null when neither answered.
-  const Response* answer(std::size_t pos, bool& hedged, bool& whole) const {
+  /// `hedged`); null when neither answered.
+  const Response* answer(std::size_t pos, bool& hedged) const {
     if (skipped) return nullptr;
     if (primary && primary->usable()) return &primary->rsps[pos];
     if (!hedge || !hedge->usable()) return nullptr;
     hedged = true;
-    whole = hedge->whole_map;
     return &hedge->rsps[pos];
   }
 };
@@ -186,10 +184,11 @@ struct Cluster::Pending {
   std::size_t index = 0;  // into the batch
   ResultCache::Key key;
   bool fill_cache = false;  // missed; memoize on a healthy kOk merge
-  bool hedged = false;   // a consumed answer came from a hedge
-  bool settled = false;  // answered before the final merge pass
+  bool hedged = false;    // a consumed answer came from a hedge
+  bool degraded = false;  // a missing answer was refilled by its oracle
   struct Slot {
     std::size_t round, shard, pos;
+    const Response* refill = nullptr;  // the shard oracle's, once missing
   };
   std::vector<Slot> slots;
 };
@@ -211,16 +210,13 @@ Cluster::Cluster(ClusterOptions opts)
     state->injector = eo.fault_injector;
     replica_state_.push_back(std::move(state));
   }
-  if (opts_.backup_replicas) {
-    // Backups run the plain engine template: they are the recovery path,
-    // so per-replica chaos hooks never apply to them.
+  if (opts_.hedge.enabled) {
+    // Backups are the hedge targets.  They run the plain engine template:
+    // they are the recovery path, so per-replica chaos hooks never apply.
     backups_.reserve(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {
       backups_.push_back(std::make_unique<QueryEngine>(opts_.engine));
     }
-  }
-  if (opts_.fallback_engine) {
-    fallback_engine_ = std::make_unique<QueryEngine>(opts_.engine);
   }
   std::size_t workers = opts_.dispatcher_threads;
   if (workers == 0) {
@@ -245,8 +241,7 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
   const geom::Rect extent{0.0, 0.0, mopts.world, mopts.world};
   core::ShardedSegments sharded =
       core::shard_segments(lines, extent, shards_);
-  std::unique_ptr<ShardIndexes> fb;
-  auto built = build_slices(sharded, lines, mopts, mopts.build_linear, fb);
+  auto built = build_slices(sharded, mopts, mopts.build_linear);
 
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   // Remount every replica onto the *new* storage first.  Each engine's
@@ -254,37 +249,31 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
   // including abandoned stragglers still draining -- so by the time the
   // old generation is destroyed (the moves below), nothing can traverse
   // it.
-  auto remount = [&](QueryEngine& eng, const ShardIndexes* ix) {
-    if (ix == nullptr || ix->empty) {
+  auto remount = [&](QueryEngine& eng, const ShardIndexes& ix) {
+    if (ix.empty) {
       eng.mount(static_cast<const core::QuadTree*>(nullptr));
       eng.mount(static_cast<const core::RTree*>(nullptr));
       eng.mount(static_cast<const core::LinearQuadTree*>(nullptr));
     } else {
-      eng.mount(&ix->quad);
-      eng.mount(&ix->rtree);
-      eng.mount(mopts.build_linear ? &ix->linear : nullptr);
+      eng.mount(&ix.quad);
+      eng.mount(&ix.rtree);
+      eng.mount(mopts.build_linear ? &ix.linear : nullptr);
     }
   };
   for (std::size_t s = 0; s < shards_; ++s) {
-    remount(*engines_[s], &(*built)[s]);
-    if (!backups_.empty()) remount(*backups_[s], &(*built)[s]);
+    remount(*engines_[s], (*built)[s]);
+    if (!backups_.empty()) remount(*backups_[s], (*built)[s]);
     // Range-aggregate ownership scope: each shard engine (and its backup,
     // which adopts the primary's generations and therefore must share its
     // scope) counts only hits whose owner point its footprint owns, so
     // the cluster merge folds disjoint partials.  A one-shard plan owns
-    // everything; leave it unscoped so the fallback engine -- which
-    // adopts shard 0's generations there -- agrees with it.
+    // everything: leave it unscoped.
     const core::AggregateScope scope =
         shards_ > 1
             ? core::AggregateScope{sharded.plan.footprints[s], extent}
             : core::AggregateScope{};
     engines_[s]->set_aggregate_scope(scope);
     if (!backups_.empty()) backups_[s]->set_aggregate_scope(scope);
-  }
-  if (fallback_engine_ != nullptr) {  // its own indexes, or shard 0's
-    remount(*fallback_engine_, fb != nullptr     ? fb.get()
-                               : shards_ == 1 ? &(*built)[0]
-                                              : nullptr);
   }
   // A base remount invalidates any mounted probe map: its shards were cut
   // by the previous plan.  Drop every replica's probe pointers first (each
@@ -293,7 +282,6 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
     each_engine([](QueryEngine& e) { e.mount_probe(nullptr, nullptr); });
   }
   probe_indexes_.reset();
-  probe_fallback_.reset();
   probe_mounted_ = false;
   probe_lines_ = 0;
   probe_shard_live_.assign(shards_, 0);
@@ -308,7 +296,6 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
   }
   sharded_ = std::move(sharded);
   indexes_ = std::move(built);  // previous generation destroyed here
-  fallback_ = std::move(fb);
   mounted_ = true;
   linear_mounted_ = mopts.build_linear;
   mount_epoch_.fetch_add(1, std::memory_order_release);
@@ -325,29 +312,22 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
   if (!mounted_) return;  // no plan to shard against
   const geom::Rect extent{0.0, 0.0, mount_opts_.world, mount_opts_.world};
   // No linear quadtree: joins on the linear index are kRejected.
-  std::unique_ptr<ShardIndexes> fb;
-  auto built =
-      build_slices(core::shard_segments(lines, extent, shards_), lines,
-                   mount_opts_, /*linear=*/false, fb);
-  const auto probe = [](QueryEngine& eng, const ShardIndexes* ix) {
-    const bool none = ix == nullptr || ix->empty;
-    eng.mount_probe(none ? nullptr : &ix->quad, none ? nullptr : &ix->rtree);
+  auto built = build_slices(core::shard_segments(lines, extent, shards_),
+                            mount_opts_, /*linear=*/false);
+  const auto probe = [](QueryEngine& eng, const ShardIndexes& ix) {
+    eng.mount_probe(ix.empty ? nullptr : &ix.quad,
+                    ix.empty ? nullptr : &ix.rtree);
   };
   for (std::size_t s = 0; s < shards_; ++s) {
-    probe(*engines_[s], &(*built)[s]);
-    if (!backups_.empty()) probe(*backups_[s], &(*built)[s]);
-  }
-  if (fallback_engine_ != nullptr) {  // its own probe, or shard 0's
-    probe(*fallback_engine_, fb != nullptr     ? fb.get()
-                             : shards_ == 1 ? &(*built)[0]
-                                            : nullptr);
+    probe(*engines_[s], (*built)[s]);
+    if (!backups_.empty()) probe(*backups_[s], (*built)[s]);
   }
   probe_shard_live_.assign(shards_, 0);
   for (std::size_t s = 0; s < shards_; ++s) {
     probe_shard_live_[s] = (*built)[s].empty ? 0 : 1;
   }
-  probe_indexes_ = std::move(built);  // previous probe storage dies here,
-  probe_fallback_ = std::move(fb);    // after every replica let go of it
+  // The previous probe storage dies here, after every replica let go.
+  probe_indexes_ = std::move(built);
   probe_mounted_ = !lines.empty();
   probe_lines_ = lines.size();
   // Join answers are keyed by (kind, index) alone: a probe swap must not
@@ -356,9 +336,8 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
 }
 
 std::unique_ptr<std::vector<Cluster::ShardIndexes>> Cluster::build_slices(
-    const core::ShardedSegments& sharded,
-    const std::vector<geom::Segment>& lines, const ClusterMountOptions& mo,
-    bool linear, std::unique_ptr<ShardIndexes>& whole) const {
+    const core::ShardedSegments& sharded, const ClusterMountOptions& mo,
+    bool linear) const {
   dpv::Context ctx;  // serial: deterministic builds
   const auto build = [&](const std::vector<geom::Segment>& slice,
                          ShardIndexes& out) {
@@ -372,12 +351,6 @@ std::unique_ptr<std::vector<Cluster::ShardIndexes>> Cluster::build_slices(
   auto built = std::make_unique<std::vector<ShardIndexes>>(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {
     if (!sharded.shards[s].empty()) build(sharded.shards[s], (*built)[s]);
-  }
-  // Whole-map indexes for the fallback engine (a 1-shard plan IS the whole
-  // map, so shard 0's indexes are reused there).
-  if (fallback_engine_ != nullptr && shards_ > 1 && !lines.empty()) {
-    whole = std::make_unique<ShardIndexes>();
-    build(lines, *whole);
   }
   return built;
 }
@@ -515,8 +488,7 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
     return res;  // kOk no-op: nothing published, nothing invalidated
   }
 
-  // Phase 1 -- prepare: build every affected replica's shadow generation
-  // (and the whole-map fallback's own, when it keeps separate indexes).
+  // Phase 1 -- prepare: build every affected replica's shadow generation.
   // Any failure abandons every shadow before anything publishes, so a
   // fault mid-update can never leave the shards disagreeing about the
   // map ("mid-swap crash" semantics).
@@ -562,16 +534,6 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
   for (const ShardPrep& sp : preps) {
     if (!sp.prep.ok()) return fail(sp.prep.status);
   }
-  PreparedUpdate fb_prep;
-  const bool fb_separate = fallback_engine_ != nullptr && shards_ > 1;
-  if (fb_separate) {
-    // The fallback only answers degraded requests, so its whole-map
-    // sibling rebuilds stay lazy instead of taxing every update.
-    UpdateOptions fb_uo = uo;
-    fb_uo.warm_siblings = false;
-    fb_prep = fallback_engine_->prepare_update(batch, fb_uo);
-    if (!fb_prep.ok()) return fail(fb_prep.status);
-  }
 
   // Phase 2 -- publish: back-to-back RCU pointer swaps.  Readers pin a
   // generation per engine batch, so each answer is internally consistent;
@@ -586,11 +548,6 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
     engines_[s]->publish_update(std::move(sp.prep));
     if (!backups_.empty()) backups_[s]->adopt_generation(*engines_[s]);
     shard_live_[s].store(shard_lines_[s] > 0, std::memory_order_release);
-  }
-  if (fb_separate) {
-    fallback_engine_->publish_update(std::move(fb_prep));
-  } else if (fallback_engine_ != nullptr) {
-    fallback_engine_->adopt_generation(*engines_[0]);
   }
 
   // Whole-map bookkeeping follows the publications.
@@ -735,7 +692,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
           }
         } else if (pj.has_budget() && now >= pj.budget) {
           // Out of budget: abandon, never join.  The merge settles these
-          // via the fallback oracle / kPartial inside the deadline.
+          // via the shard's oracle / kPartial inside the deadline.
           pj.abandon(&SubJob::timed_out);
           ++delta.subrequest_timeouts;
           rs.count(&ReplicaState::timeouts);
@@ -750,8 +707,8 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
 
       // Hedge firing: once the primary has been slow for its replica's
       // observed-p99-derived delay -- or crashed outright -- re-issue the
-      // same subrequest to the backup replica (same footprint) or the
-      // whole-map fallback engine.  One hedge per slot; first kOk wins.
+      // same subrequest to the backup replica (same footprint).  One hedge
+      // per slot; first kOk wins.
       if (opts_.hedge.enabled && !sl.hedge_decided) {
         const bool in_budget = !pj.has_budget() || now < pj.budget;
         const bool primary_failed = pj.resolved && !pj.usable();
@@ -761,22 +718,16 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
         } else if ((primary_failed && in_budget) ||
                    (!pj.resolved && now >= fire_at)) {
           sl.hedge_decided = true;
-          QueryEngine* const target = !backups_.empty()
-                                          ? backups_[s].get()
-                                          : fallback_engine_.get();
-          if (target != nullptr) {
-            auto hedge = std::make_shared<SubJob>();
-            hedge->engine = target;
-            hedge->replica = s;
-            hedge->is_primary = false;
-            hedge->whole_map = backups_.empty();
-            hedge->reqs = sl.primary->reqs;  // same footprint, same order
-            hedge->budget = pj.budget;
-            sl.hedge = hedge;
-            ++delta.hedges_issued;
-            rs.count(&ReplicaState::hedges);
-            submit_job(hedge, waiter);
-          }
+          auto hedge = std::make_shared<SubJob>();
+          hedge->engine = backups_[s].get();
+          hedge->replica = s;
+          hedge->is_primary = false;
+          hedge->reqs = sl.primary->reqs;  // same footprint, same order
+          hedge->budget = pj.budget;
+          sl.hedge = hedge;
+          ++delta.hedges_issued;
+          rs.count(&ReplicaState::hedges);
+          submit_job(hedge, waiter);
         } else if (pj.resolved) {
           sl.hedge_decided = true;  // answered in time: no hedge needed
         }
@@ -931,45 +882,60 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
         delta.routed_subrequests += sub.size();
       }
       std::vector<RoundSlot> r1(shards_);
+      std::vector<RoundSlot> r2(shards_);
       run_round(round1, 0, batch_seq, r1, delta);
+
+      // Degraded settle: a missing (round, shard) answer is refilled by
+      // that shard's sequential oracle over its own pinned generation --
+      // exact and update-aware, so the refill merges like a healthy part.
+      // It never goes through a dispatch job, where replica faults live.
+      // A request already past its deadline (or cancelled) refills with
+      // that status instead, and an oracle that cannot answer refills
+      // kRejected; the merge settles either as the request's status.
+      std::list<Response> refills;  // stable addresses for Slot::refill
+      auto refill = [&](Pending& p, Pending::Slot& slot) {
+        const Request& rq = batch[p.index];
+        Response& r = refills.emplace_back();
+        r.status = pre_status(rq);
+        if (r.status == Status::kOk) {
+          p.degraded = true;
+          engines_[slot.shard]->run_oracle(rq, r);
+        }
+        ++delta.missing_shard_answers;
+        slot.refill = &r;
+        return slot.refill;
+      };
+      auto answer = [&](const Pending::Slot& slot, bool& hedged) {
+        return slot.refill != nullptr
+                   ? slot.refill
+                   : (slot.round == 0 ? r1 : r2)[slot.shard].answer(slot.pos,
+                                                                    hedged);
+      };
 
       // Pass 2 (k-nearest only): widen to every shard whose footprint
       // MINDIST beats -- or ties, so equal-distance answers are never
-      // pruned -- the primary shard's running kth-best bound.  A primary
-      // answered by a whole-map hedge settles right here: that answer is
-      // already the exact global top-k.
-      // Settles a request with the kOk payload now in its response.
-      auto settle_ok = [&](const Pending& p) {
-        settle(p.index, Status::kOk);
-        if (p.fill_cache) {
-          cache_.insert(p.key, responses[p.index], cache_version);
-        }
-      };
+      // pruned -- the primary shard's running kth-best bound.  A missing
+      // primary is refilled first, so the bound stays exact (an opted-in
+      // request leaves it missing and settles kPartial in the merge).
       std::vector<std::vector<Request>> round2(shards_);
       for (Pending& p : pending) {
         const Request& rq = batch[p.index];
         if (kind_ops(rq.kind).route != Route::kNearest || p.slots.empty()) {
           continue;
         }
-        const Pending::Slot primary_slot = p.slots.front();
-        bool whole = false;
-        const Response* first = r1[primary_slot.shard].answer(
-            primary_slot.pos, p.hedged, whole);
-        // Missing: the final merge degrades; not kOk: settles in merge.
-        if (first == nullptr || first->status != Status::kOk) continue;
-        if (whole) {
-          kind_ops(rq.kind).take(responses[p.index], *first);
-          ++delta.hedges_won;
-          settle_ok(p);
-          p.settled = true;
-          continue;
+        const std::size_t home = p.slots.front().shard;
+        const Response* first = answer(p.slots.front(), p.hedged);
+        if (first == nullptr && !rq.allow_partial) {
+          first = refill(p, p.slots.front());
         }
+        // Missing or not kOk: settles in the merge.
+        if (first == nullptr || first->status != Status::kOk) continue;
         const double bound =
             first->neighbors.size() >= rq.k
                 ? first->neighbors.back().distance2
                 : std::numeric_limits<double>::infinity();
         for (std::size_t s = 0; s < shards_; ++s) {
-          if (s == primary_slot.shard || !shard_live(s)) continue;
+          if (s == home || !shard_live(s)) continue;
           if (sharded_.plan.footprints[s].distance2(rq.point) <= bound) {
             p.slots.push_back({1, s, round2[s].size()});
             round2[s].push_back(rq);
@@ -980,39 +946,35 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
       for (const auto& sub : round2) {
         delta.routed_subrequests += sub.size();
       }
-      std::vector<RoundSlot> r2(shards_);
       run_round(round2, 1, batch_seq, r2, delta);
 
-      // Pass 3: merge.  Healthy shard answers merge exactly; a missing
-      // answer degrades the request (whole-map oracle settle, or kPartial
-      // when it opted in) instead of failing it.
+      // Pass 3: merge.  Healthy and refilled shard answers merge exactly;
+      // a request that opted in through allow_partial settles kPartial on
+      // the surviving answers instead of refilling.
       for (Pending& p : pending) {
-        if (p.settled) continue;
         const Request& rq = batch[p.index];
         const KindOps& ops = kind_ops(rq.kind);
         Response& rsp = responses[p.index];
         bool hedged = p.hedged;
-        const Response* whole = nullptr;
         std::size_t missing = 0;
         Status dead = Status::kOk;
         std::vector<const Response*> parts;
         parts.reserve(p.slots.size());
-        for (const Pending::Slot& slot : p.slots) {
-          bool from_whole = false;
-          const Response* r = (slot.round == 0 ? r1 : r2)[slot.shard].answer(
-              slot.pos, hedged, from_whole);
+        for (Pending::Slot& slot : p.slots) {
+          const Response* r = answer(slot, hedged);
+          if (r == nullptr && !rq.allow_partial) r = refill(p, slot);
           if (r == nullptr) {
             ++missing;
           } else if (r->status != Status::kOk) {
-            // The replica *answered* with a terminal per-request status
-            // (deadline expired inside the engine, cancellation): the
-            // request's own condition, not a failure domain.
+            // A terminal per-request status (deadline expired inside the
+            // engine or before the refill, cancellation, an oracle that
+            // cannot answer): the request's own condition.
             if (dead == Status::kOk) dead = r->status;
           } else {
-            if (from_whole) whole = r;
             parts.push_back(r);
           }
         }
+        if (p.degraded) ++delta.degraded_fallback;
 
         // Until one of the outcomes below writes it, `rsp` holds no
         // payload (a cache miss leaves it untouched), so settling with a
@@ -1022,47 +984,23 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
           settle(p.index, dead);
           continue;
         }
-        if (whole != nullptr) {
-          // A whole-map hedge answer subsumes every shard's (the fallback
-          // engine is unscoped and carries the whole probe, so its
-          // aggregate / join payloads are already global).
-          ops.take(rsp, *whole);
-          ++delta.hedges_won;
-          settle_ok(p);
-          continue;
-        }
-        if (missing == 0) {
-          delta.duplicate_hits_removed += ops.merge(rq, parts, rsp);
-          if (hedged) ++delta.hedges_won;
-          settle_ok(p);
-          continue;
-        }
-        delta.missing_shard_answers += missing;
-        if (rq.allow_partial) {
+        if (missing > 0) {
           // Opted-in degradation: the surviving shards' exactly-merged
-          // hits.  Never cached (fills happen only on the kOk paths).
+          // hits.  Never cached (only the healthy path fills).
+          delta.missing_shard_answers += missing;
           delta.duplicate_hits_removed += ops.merge(rq, parts, rsp);
           rsp.missing_shards = static_cast<std::uint32_t>(missing);
           settle(p.index, Status::kPartial);
           continue;
         }
-        // Graceful degradation: the fallback engine's sequential oracle
-        // over its pinned generation -- exact, and update-aware (an updated
-        // generation lazily rebuilds its siblings on first use).  With no
-        // fallback indexes mounted nothing exact is left to answer with.
+        delta.duplicate_hits_removed += ops.merge(rq, parts, rsp);
+        settle(p.index, Status::kOk);
         // Degraded answers never fill the cache: a cache serving traffic
         // for an open breaker must only hold answers the healthy merge
         // path produced.
-        Status s = pre_status(rq);
-        if (s == Status::kOk && (fallback_engine_ == nullptr ||
-                                 !fallback_engine_->mounted_index(rq.index))) {
-          s = Status::kRejected;
-        }
-        if (s == Status::kOk) {
-          ++delta.degraded_fallback;
-          s = fallback_engine_->run_oracle(rq, rsp);
-        }
-        settle(p.index, s);
+        if (p.degraded) continue;
+        if (hedged) ++delta.hedges_won;
+        if (p.fill_cache) cache_.insert(p.key, rsp, cache_version);
       }
     }
   }
@@ -1093,7 +1031,6 @@ template <class F>
 void Cluster::each_engine(F f) const {
   for (const auto& e : engines_) f(*e);
   for (const auto& e : backups_) f(*e);
-  if (fallback_engine_ != nullptr) f(*fallback_engine_);
 }
 
 void Cluster::cancel_all() noexcept {

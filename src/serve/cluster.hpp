@@ -27,10 +27,9 @@
 //             v           v                        v
 //           backup 0    backup 1    ...          backup N-1
 //            (same footprint; p99-delayed re-issue, first kOk wins)
-//               \           |                    /
-//                '----- whole-map fallback engine
-//          (hedge target when no backup; sequential oracle settle
-//           when a shard answer is missing at merge time)
+//                           |
+//          missing (round, shard) answer: that shard's sequential
+//           oracle over its own pinned generation refills the slot
 //                           |
 //                      exact merge
 //        sorted-union duplicate deletion of cloned-segment hits;
@@ -69,14 +68,16 @@
 // Failure domains (each shard's replica is one): a replica that stalls,
 // wedges, or crashes costs bounded latency, never a wrong answer.
 // Hedged answers are exact -- a backup replica is mounted over the same
-// shard footprint, and the whole-map fallback engine subsumes every
-// footprint -- so hedging never changes a payload, only when it arrives.
-// When no answer for a shard exists at merge time (breaker open, crash /
-// timeout with no winning hedge), the request settles either via the
-// sequential whole-map oracle (still exact) or, when it opted in through
-// Request::allow_partial, as Status::kPartial carrying the surviving
-// shards' exactly-merged hits plus a missing_shards count.  kPartial and
-// fallback-settled responses are never inserted into the ResultCache.
+// shard footprint and shares its generations -- so hedging never changes
+// a payload, only when it arrives.  When no answer for a shard exists at
+// merge time (breaker open, crash / timeout with no winning hedge), the
+// request settles either by refilling that shard's answer from the
+// shard's own sequential oracle (still exact: the refilled part merges
+// like a healthy one) or, when it opted in through Request::allow_partial,
+// as Status::kPartial carrying the surviving shards' exactly-merged hits
+// plus a missing_shards count.  A shard oracle that cannot answer the
+// request settles it kRejected.  kPartial and oracle-settled responses
+// are never inserted into the ResultCache.
 // docs/PRIMITIVES.md ("Failure domains and exact-merge degradation")
 // walks the ladder, the breaker state machine and the hedge delay.
 //
@@ -123,9 +124,9 @@ enum class Route : std::uint8_t;  // a request kind's shard route (kinds.hpp)
 
 /// Hedged subrequests: when a replica has not answered within a delay
 /// derived from its own observed latency, re-issue the subrequest to that
-/// shard's backup replica (or the whole-map fallback engine when no
-/// backup is mounted).  First kOk answer wins; the loser is cancelled
-/// through the engine's per-call BatchControl hook.
+/// shard's backup replica (mounted exactly when hedging is on).  First kOk
+/// answer wins; the loser is cancelled through the engine's per-call
+/// BatchControl hook.
 struct HedgeOptions {
   bool enabled = false;
   /// Ledger quantile the hedge delay tracks (the sptl-style measured
@@ -168,31 +169,25 @@ struct ClusterOptions {
   /// Optional per-replica chaos hooks (index = shard); shorter than
   /// `shards` means the tail gets none.  Overrides `engine.fault_injector`
   /// for the primary replicas it names; entries may be null.  Must
-  /// outlive the cluster.  Backup replicas and the fallback engine are
-  /// never replica-fault-injected: they are the recovery path.
+  /// outlive the cluster.  Backup replicas are never replica-fault-injected:
+  /// they are the recovery path.
   std::vector<dpv::FaultInjector*> replica_fault_injectors;
 
   // --- failure-domain dispatch ---
 
-  /// Hedged subrequests (off by default).
+  /// Hedged subrequests (off by default).  On, the cluster mounts a
+  /// backup QueryEngine per shard over the same footprint as the hedge
+  /// target (doubles replica count, not index memory -- backups share the
+  /// shard's built indexes).
   HedgeOptions hedge;
   /// Per-replica circuit breakers (off by default).
   BreakerOptions breaker;
-  /// Mount a backup QueryEngine per shard over the same footprint: the
-  /// preferred hedge target (doubles replica count, not index memory --
-  /// backups share the shard's built indexes).
-  bool backup_replicas = false;
-  /// Build whole-map indexes and a fallback engine at mount time: the
-  /// hedge target when no backup exists, and the exact sequential settle
-  /// for requests whose shard answer went missing.  A 1-shard cluster
-  /// reuses shard 0's indexes, so the fallback costs nothing there.
-  bool fallback_engine = true;
   /// Dispatcher threads for the async fan-out (0 = 2 * shards + 2,
   /// capped at 32: every primary plus every possible hedge can run).
   std::size_t dispatcher_threads = 0;
   /// Budget slack reserved ahead of a request's deadline: a subrequest is
-  /// abandoned this early so the sequential whole-map settle still fits
-  /// inside the deadline.  (When the deadline is nearer than the reserve,
+  /// abandoned this early so the sequential oracle settle of the missing
+  /// shard still fits inside the deadline.  (When the deadline is nearer than the reserve,
   /// the full window is used instead.)
   std::chrono::microseconds fallback_reserve{5'000};
   /// Optional hard per-subrequest wait cap (0 = request deadlines only).
@@ -293,18 +288,17 @@ class Cluster {
 
   /// Shards `lines` over the k-way plan of [0, world]^2, builds every
   /// non-empty shard's quadtree / R-tree / linear quadtree, and mounts
-  /// them on that shard's replica (and backup, and the whole-map fallback
-  /// engine when configured).  Serializes against in-flight serve() calls
-  /// (exclusive mount lock) and advances the cache epoch, so no answer
-  /// computed against the previous map survives the remount.
+  /// them on that shard's replica (and its backup when hedging is on).
+  /// Serializes against in-flight serve() calls (exclusive mount lock)
+  /// and advances the cache epoch, so no answer computed against the
+  /// previous map survives the remount.
   void mount(const std::vector<geom::Segment>& lines,
              const ClusterMountOptions& opts);
 
   /// Mounts the "probe" side of map-vs-map join serving: shards `lines`
   /// over the *current* plan with the same cloning rule as the base map,
-  /// builds each probe shard's quadtree and R-tree plus the whole-map
-  /// probe indexes for the fallback engine, and mounts them on every
-  /// replica.  Requires a mounted cluster (no-op otherwise); a base
+  /// builds each probe shard's quadtree and R-tree, and mounts them on
+  /// every replica.  Requires a mounted cluster (no-op otherwise); a base
   /// remount unmounts the probe (its shards were cut by the old plan), so
   /// re-mount it afterwards.  The probe map is static: apply_update
   /// batches mutate the base map only, and every join answer pairs the
@@ -322,8 +316,7 @@ class Cluster {
   /// pmr_insert, or a compacting full rebuild) and the results publish
   /// back-to-back as RCU pointer swaps: reads never block, and every
   /// engine answer comes from exactly one generation.  Backups adopt
-  /// their primary's generation; the whole-map fallback engine takes the
-  /// whole batch.  The cache then drops only entries whose footprint
+  /// their primary's generation.  The cache then drops only entries whose footprint
   /// meets the dirty region (`ClusterOptions::delta_cache_invalidation`),
   /// or flushes wholesale when that is off.  Insert ids must not collide
   /// with live lines (net of this batch's deletes) or each other --
@@ -350,7 +343,7 @@ class Cluster {
   const QueryEngine& engine(std::size_t shard) const {
     return *engines_[shard];
   }
-  /// Backup replica for `shard`; null unless `backup_replicas` is on.
+  /// Backup replica for `shard`; null unless hedging is on.
   QueryEngine* backup(std::size_t shard) {
     return shard < backups_.size() ? backups_[shard].get() : nullptr;
   }
@@ -367,18 +360,16 @@ class Cluster {
   void reset_metrics();
   AdmissionStats admission_stats() const { return admission_.stats(); }
 
-  /// Merges every replica's learned dispatch-cost ledger (primaries,
-  /// backups, and the fallback engine) into one snapshot and warms all of
-  /// them with the union, so a replica that has not yet served a shape
-  /// dispatches on a sibling's measurements instead of the bootstrap
-  /// prior.  Per-cell more-samples-wins, so repeated calls are idempotent
+  /// Merges every replica's learned dispatch-cost ledger (primaries and
+  /// backups) into one snapshot and warms all of them with the union, so
+  /// a replica that has not yet served a shape dispatches on a sibling's
+  /// measurements instead of the bootstrap prior.  Per-cell more-samples-wins, so repeated calls are idempotent
   /// and never erase a better-warmed cell.  Returns the merged snapshot
   /// (e.g. to warm a freshly provisioned cluster).  Thread-safe.
   dpv::CostModelSnapshot share_cost_models();
 
  private:
-  /// One slice's indexes (a shard's, or the whole map's for the fallback
-  /// engine), of the base map or of the probe map.
+  /// One shard's indexes, of the base map or of the probe map.
   struct ShardIndexes {
     core::QuadTree quad;
     core::RTree rtree;
@@ -399,14 +390,12 @@ class Cluster {
   struct ReplicaState;
 
   /// Builds every non-empty slice of `sharded` (the linear quadtree only
-  /// when `linear`), plus the fallback engine's whole-map indexes into
-  /// `whole` when it keeps its own.
+  /// when `linear`).
   std::unique_ptr<std::vector<ShardIndexes>> build_slices(
-      const core::ShardedSegments& sharded,
-      const std::vector<geom::Segment>& lines, const ClusterMountOptions& mo,
-      bool linear, std::unique_ptr<ShardIndexes>& whole) const;
+      const core::ShardedSegments& sharded, const ClusterMountOptions& mo,
+      bool linear) const;
 
-  /// Calls `f` on every engine: primaries, backups, then the fallback.
+  /// Calls `f` on every engine: primaries, then backups.
   template <class F>
   void each_engine(F f) const;
 
@@ -445,8 +434,7 @@ class Cluster {
   ClusterOptions opts_;
   std::size_t shards_ = 1;
   std::vector<std::unique_ptr<QueryEngine>> engines_;
-  std::vector<std::unique_ptr<QueryEngine>> backups_;  // empty unless on
-  std::unique_ptr<QueryEngine> fallback_engine_;       // whole-map replica
+  std::vector<std::unique_ptr<QueryEngine>> backups_;  // empty unless hedging
   std::vector<std::unique_ptr<ReplicaState>> replica_state_;
 
   // Async dispatcher.  Destroyed first in ~Cluster (explicitly), so no
@@ -460,13 +448,11 @@ class Cluster {
   // *new* storage before the old generation is destroyed.
   core::ShardedSegments sharded_;
   std::unique_ptr<std::vector<ShardIndexes>> indexes_;
-  std::unique_ptr<ShardIndexes> fallback_;  // null when reusing shard 0
   bool mounted_ = false;
   bool linear_mounted_ = false;
   // Probe-map state (join serving); written under the exclusive mount
   // lock, read under the shared one, like the base mount state above.
   std::unique_ptr<std::vector<ShardIndexes>> probe_indexes_;
-  std::unique_ptr<ShardIndexes> probe_fallback_;  // null: reusing shard 0
   bool probe_mounted_ = false;
   std::size_t probe_lines_ = 0;
   /// Shards holding at least one probe clone: the only shards a join can

@@ -359,17 +359,14 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   // Warm the stale siblings while the generation is still a private
   // shadow: the update thread absorbs the rebuild so the first reader
   // after the swap never blocks on the lazy mutex.
-  if (opts.warm_siblings) {
-    const GenView view{*next, *this};
-    const core::RTree* rtree = view.rtree();
-    const core::LinearQuadTree* linear = view.linear();
-    // Same for the aggregate annotations, but only where the base had
-    // them: warming follows observed aggregate traffic, it does not
-    // anticipate it.
-    if (base->quad_agg.ready() != nullptr) view.agg(*next->quad);
-    if (base->rtree_agg.ready() != nullptr && rtree) view.agg(*rtree);
-    if (base->linear_agg.ready() != nullptr && linear) view.agg(*linear);
-  }
+  const GenView view{*next, *this};
+  const core::RTree* rtree = view.rtree();
+  const core::LinearQuadTree* linear = view.linear();
+  // Same for the aggregate annotations, but only where the base had them:
+  // warming follows observed aggregate traffic, it does not anticipate it.
+  if (base->quad_agg.ready() != nullptr) view.agg(*next->quad);
+  if (base->rtree_agg.ready() != nullptr && rtree) view.agg(*rtree);
+  if (base->linear_agg.ready() != nullptr && linear) view.agg(*linear);
   out.gen = std::move(next);
   return out;
 }

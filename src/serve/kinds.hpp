@@ -208,8 +208,8 @@ struct KindOps {
   std::uint64_t (*merge)(const Request& rq,
                          const std::vector<const Response*>& parts,
                          Response& rsp);
-  /// Copies the kind's payload field from `src` (a whole-map answer, or a
-  /// cache entry) into `dst`.
+  /// Copies the kind's payload field from `src` (a cache entry, or the
+  /// answer filling one) into `dst`.
   void (*take)(Response& dst, const Response& src);
   std::array<SeqFn, kNumIndexes> run_seq;
   std::array<DpFn, kNumIndexes> run_dp;

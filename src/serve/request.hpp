@@ -72,8 +72,9 @@ struct Request {
   /// Opt in to graceful degradation: when a shard answer is unavailable at
   /// merge time (breaker open, replica crashed / timed out with no backup
   /// answer), accept Status::kPartial with the surviving shards' hits
-  /// instead of the sequential whole-map settle.  Ignored by a bare
-  /// QueryEngine (a single engine has no failure domains to lose).
+  /// instead of refilling the missing shards from their own sequential
+  /// oracles.  Ignored by a bare QueryEngine (a single engine has no
+  /// failure domains to lose).
   bool allow_partial = false;
 
   bool has_deadline() const noexcept { return deadline.has_value(); }
@@ -146,13 +147,6 @@ struct UpdateOptions {
   /// always inherit the capabilities it already served.
   bool keep_rtree = true;
   bool keep_linear = true;
-  /// Materialize the stale siblings into the shadow generation *before*
-  /// publication (still through the shared lazy slots, so adopters reuse
-  /// the builds and the lazy-rebuild counters account for them).  The
-  /// update thread pays the sibling rebuilds; readers of a published
-  /// generation never do.  Disable for rarely-read replicas (e.g. a
-  /// degraded-path fallback) to defer the cost to first use.
-  bool warm_siblings = true;
   /// Compaction trigger: once the deltas accumulated since the last full
   /// build exceed this, the update runs a from-scratch data-parallel
   /// rebuild of the surviving lines instead of an incremental

@@ -150,7 +150,7 @@ struct BreakerClusterRig {
 
 // Consecutive crashes trip replica 0's breaker; once open, its
 // subrequests are skipped outright (no more crash dispatches) and every
-// answer still settles exactly through the whole-map fallback.
+// answer still settles exactly through the shard generation's oracle.
 TEST(ClusterBreaker, OpensAfterCrashesThenSkipsAndDegradesExactly) {
   // A long cooldown so the breaker cannot slip into half-open mid-test.
   BreakerClusterRig rig(/*cache_on=*/false, /*crash_from_start=*/true,

@@ -505,13 +505,14 @@ INSTANTIATE_TEST_SUITE_P(
              "_c" + std::to_string(c.compact_after);
     });
 
-// Backup replicas adopt their primary's generation on every update, so a
-// hedge target answers from the same snapshot as the primary.
+// Backup replicas (mounted when hedging is on) adopt their primary's
+// generation on every update, so a hedge target answers from the same
+// snapshot as the primary.
 TEST(ClusterUpdate, BackupReplicasAdoptUpdatedGenerations) {
   std::vector<geom::Segment> live = make_map("uniform", 300, 77);
   serve::ClusterOptions co;
   co.shards = 2;
-  co.backup_replicas = true;
+  co.hedge.enabled = true;
   co.engine.threads = 2;
   serve::Cluster cluster(co);
   cluster.mount(live, mount_options());
