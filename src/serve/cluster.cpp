@@ -19,6 +19,10 @@ double us_since(Clock::time_point t) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t).count();
 }
 
+/// Cap on one round's observed span, as a multiple of the path's current
+/// estimate (see Cluster::run_round).
+constexpr double kSpanOutlierFactor = 2.0;
+
 /// Absolute wait budget for a subrequest job: the earliest request
 /// deadline minus `reserve` (so the sequential oracle settle still fits
 /// inside the deadline; when the deadline is nearer than the reserve the
@@ -63,6 +67,8 @@ ClusterMetrics& ClusterMetrics::operator+=(
   routed_subrequests += other.routed_subrequests;
   knn_widened_shards += other.knn_widened_shards;
   duplicate_hits_removed += other.duplicate_hits_removed;
+  inline_rounds += other.inline_rounds;
+  fanout_rounds += other.fanout_rounds;
   hedges_issued += other.hedges_issued;
   hedges_won += other.hedges_won;
   subrequest_timeouts += other.subrequest_timeouts;
@@ -194,7 +200,16 @@ struct Cluster::Pending {
 };
 
 Cluster::Cluster(ClusterOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache), admission_(opts_.admission) {
+    : opts_(std::move(opts)),
+      round_model_([this] {
+        // The engines' knob, the engines' prior: a round of at least
+        // `min_dp_batch` subrequests fans out until measurements exist.
+        dpv::CostModelOptions co = opts_.engine.cost_model;
+        co.bootstrap_min_dp_batch = opts_.engine.min_dp_batch;
+        return co;
+      }()),
+      cache_(opts_.cache),
+      admission_(opts_.admission) {
   shards_ = opts_.shards == 0 ? 1 : opts_.shards;
   shard_lines_.assign(shards_, 0);
   shard_live_ = std::vector<std::atomic<bool>>(shards_);
@@ -619,12 +634,28 @@ void Cluster::submit_job(const std::shared_ptr<SubJob>& job,
   });
 }
 
+void Cluster::note_answered(std::size_t replica, const SubJob& job,
+                            ClusterMetrics& delta) {
+  ReplicaState& rs = *replica_state_[replica];
+  const double wall =
+      std::chrono::duration<double, std::micro>(job.finished - job.submitted)
+          .count();
+  {
+    std::lock_guard<std::mutex> lk(rs.mutex);
+    rs.ledger.record(wall);
+    ++rs.completed;
+  }
+  if (rs.breaker.on_success()) ++delta.breaker_close_transitions;
+}
+
 void Cluster::run_round(std::vector<std::vector<Request>>& sub,
                         std::size_t round, std::uint64_t batch_seq,
                         std::vector<RoundSlot>& slots, ClusterMetrics& delta) {
-  auto waiter = std::make_shared<Waiter>();
+  // Stage: gate every non-empty sub-batch through its replica's breaker
+  // and build its primary job.  Nothing runs yet.
   const auto now0 = Clock::now();
-  bool outstanding = false;
+  std::size_t routed = 0;
+  bool eligible = !opts_.hedge.enabled;
   for (std::size_t s = 0; s < shards_; ++s) {
     if (sub[s].empty()) continue;
     ReplicaState& rs = *replica_state_[s];
@@ -647,11 +678,60 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
     job->budget = job_budget(job->reqs, now0, opts_.fallback_reserve,
                              opts_.subrequest_timeout);
     rs.count(&ReplicaState::subrequests);
-    slots[s].primary = job;
-    submit_job(job, waiter);
-    outstanding = true;
+    routed += job->reqs.size();
+    eligible = eligible && job->injector == nullptr && !job->has_budget();
+    slots[s].primary = std::move(job);
   }
-  if (!outstanding) return;
+  if (routed == 0) return;
+
+  // Granularity control, sptl-style with a measured oracle: a round too
+  // small to amortize the pool handoff and the cv wait runs on this
+  // thread.  Only rounds with no failure-domain machinery armed may:
+  // hedges, replica faults and budgets all live in the fan-out wait loop.
+  // The model observes the round's wall-clock span, not the thread CPU
+  // time the engines price their dispatch groups with -- the choice here
+  // is about span, and fan-out work runs on pool threads this thread's
+  // CPU clock never sees.
+  const dpv::GroupShape shape{0, static_cast<int>(round), routed, 0, 0};
+  const bool inline_round = eligible && !round_model_.decide(shape).use_dp;
+  const auto t0 = Clock::now();
+  if (inline_round) {
+    auto t = t0;
+    for (std::size_t s = 0; s < shards_; ++s) {
+      if (!slots[s].primary) continue;
+      SubJob& job = *slots[s].primary;
+      job.submitted = t;
+      job.rsps = job.engine->serve(job.reqs, &job.cancel);
+      job.finished = t = Clock::now();
+      job.done.store(true, std::memory_order_relaxed);
+      job.resolved = true;
+      note_answered(s, job, delta);
+    }
+    ++delta.inline_rounds;
+  } else {
+    fan_out(slots, delta);
+    ++delta.fanout_rounds;
+  }
+  if (eligible) {
+    // On a shared host one descheduled thread can stretch a single round
+    // several-fold.  Each span is clipped at kSpanOutlierFactor times the
+    // path's current estimate: a real shift still moves the estimate by up
+    // to `ema_alpha` of itself per round, but one outlier can no longer
+    // flip the choice and hold it until the loser's next refresh probe.
+    const dpv::CostPath path =
+        inline_round ? dpv::CostPath::kSeq : dpv::CostPath::kDp;
+    double span = us_since(t0);
+    const double est = round_model_.estimate_us(shape, path);
+    if (est > 0.0) span = std::min(span, kSpanOutlierFactor * est);
+    round_model_.observe(shape, path, span);
+  }
+}
+
+void Cluster::fan_out(std::vector<RoundSlot>& slots, ClusterMetrics& delta) {
+  const auto waiter = std::make_shared<Waiter>();
+  for (RoundSlot& sl : slots) {
+    if (sl.primary) submit_job(sl.primary, waiter);
+  }
 
   // Merge-on-arrival wait loop: resolve completions as they land, fire
   // hedges at each replica's derived delay, abandon at budget.  Scans are
@@ -675,16 +755,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
             rs.count(&ReplicaState::crashes);
             if (rs.breaker.on_failure(now)) ++delta.breaker_open_transitions;
           } else {
-            const double wall =
-                std::chrono::duration<double, std::micro>(pj.finished -
-                                                          pj.submitted)
-                    .count();
-            {
-              std::lock_guard<std::mutex> lk(rs.mutex);
-              rs.ledger.record(wall);
-              ++rs.completed;
-            }
-            if (rs.breaker.on_success()) ++delta.breaker_close_transitions;
+            note_answered(s, pj, delta);
             if (sl.hedge && !sl.hedge->resolved) {
               // The primary answered: the hedge lost; cancel it.
               sl.hedge->abandon(&SubJob::lost_hedge);

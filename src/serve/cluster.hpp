@@ -18,7 +18,14 @@
 //                      shard whose MINDIST beats the running kth bound
 //      join         -> every live shard that also holds probe clones
 //                           |
-//                async dispatcher (deadline budgets)
+//          round dispatcher (granularity-controlled)
+//        per round, a cluster-owned dpv::CostModel weighs the measured
+//        span of serving the sub-batches on the calling thread, in shard
+//        order, against fanning them out; a round with any failure-domain
+//        machinery armed (hedging, a replica fault injector, a deadline
+//        or subrequest budget) always fans out
+//                           |
+//                async fan-out (deadline budgets)
 //        persistent pool, merge-on-arrival; a subrequest that outlives
 //        its budget is abandoned (late replies dropped, never joined on)
 //           .-----------.-----+-----.------------.
@@ -184,6 +191,8 @@ struct ClusterOptions {
   BreakerOptions breaker;
   /// Dispatcher threads for the async fan-out (0 = 2 * shards + 2,
   /// capped at 32: every primary plus every possible hedge can run).
+  /// Rounds the cluster serves inline on the calling thread never touch
+  /// them.
   std::size_t dispatcher_threads = 0;
   /// Budget slack reserved ahead of a request's deadline: a subrequest is
   /// abandoned this early so the sequential oracle settle of the missing
@@ -244,6 +253,10 @@ struct ClusterMetrics {
   std::uint64_t routed_subrequests = 0;   // shard-local requests dispatched
   std::uint64_t knn_widened_shards = 0;   // phase-2 shards consulted
   std::uint64_t duplicate_hits_removed = 0;  // cloned hits merged away
+
+  // Round dispatch split (non-empty rounds only).
+  std::uint64_t inline_rounds = 0;  // served on the calling thread
+  std::uint64_t fanout_rounds = 0;  // fanned out to the dispatcher pool
 
   // Failure-domain accounting.
   std::uint64_t hedges_issued = 0;       // hedge jobs fired
@@ -411,15 +424,26 @@ class Cluster {
     return shard_live_[s].load(std::memory_order_acquire);
   }
 
-  /// Dispatches every non-empty per-shard sub-batch asynchronously and
-  /// waits -- merge-on-arrival with deadline budgets, hedging, and
-  /// breaker gating.  On return every slot is resolved (answered,
+  /// Gates every non-empty per-shard sub-batch through its replica's
+  /// breaker, then serves the round one of two ways.  A round with no
+  /// failure-domain machinery armed (no hedging, no replica fault
+  /// injector, no deadline or subrequest budget) asks `round_model_`: the
+  /// calling thread serves it inline, in shard order, or it fans out; its
+  /// wall-clock span trains the model.  Every other round fans out and is
+  /// never observed.  On return every slot is resolved (answered,
   /// abandoned, or skipped).
   void run_round(std::vector<std::vector<Request>>& sub, std::size_t round,
                  std::uint64_t batch_seq, std::vector<RoundSlot>& slots,
                  ClusterMetrics& delta);
+  /// Submits every staged primary to the dispatcher pool and waits --
+  /// merge-on-arrival with deadline budgets and hedging.
+  void fan_out(std::vector<RoundSlot>& slots, ClusterMetrics& delta);
   void submit_job(const std::shared_ptr<SubJob>& job,
                   const std::shared_ptr<Waiter>& waiter);
+  /// Books a primary that answered: ledger sample, completion count,
+  /// breaker success.
+  void note_answered(std::size_t replica, const SubJob& job,
+                     ClusterMetrics& delta);
   /// Hedge delay for `replica`: its ledger's p99 (clamped) once warmed,
   /// `initial_delay` before that.
   std::chrono::microseconds hedge_delay(std::size_t replica) const;
@@ -441,6 +465,9 @@ class Cluster {
   // job can outlive the engines/indexes it references.
   std::unique_ptr<dpv::AsyncPool> dispatch_pool_;
   std::atomic<std::uint64_t> batch_seq_{0};  // replica-fault scope coordinate
+  /// Inline-vs-fan-out round decision (kSeq = inline, kDp = fan-out).
+  /// Family = round number, group size = routed subrequests in the round.
+  dpv::CostModel round_model_;
 
   // Mounted state, guarded by mount_mutex_ (serve() shared, mount()
   // exclusive -- the same discipline QueryEngine uses).  Heap storage so

@@ -2,7 +2,8 @@
 // forced coefficients, snapshot/warm round-trips, and the global force
 // hook.  Everything here is synthetic -- observations are hand-fed
 // microsecond figures, never wall-clock -- so the tests are exact and
-// deterministic.
+// deterministic.  Tests of decide() hold an unforced scope, so they check
+// the model even under DPS_DISPATCH_FORCE.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <limits>
 
 #include "dpv/cost_model.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -21,6 +23,8 @@ using dps::dpv::CostModelSnapshot;
 using dps::dpv::CostPath;
 using dps::dpv::GroupShape;
 using dps::dpv::merge_snapshot;
+using dps::test::DispatchForceScope;
+using dps::test::kUnforced;
 
 GroupShape shape(std::size_t n, std::size_t k = 0) {
   GroupShape g;
@@ -88,6 +92,7 @@ TEST(CostModel, CellKeySeparatesFamiliesSizesAndPaths) {
 }
 
 TEST(CostModel, BootstrapPriorReproducesStaticThreshold) {
+  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.bootstrap_min_dp_batch = 8;
   CostModel model(co);
@@ -97,6 +102,7 @@ TEST(CostModel, BootstrapPriorReproducesStaticThreshold) {
 }
 
 TEST(CostModel, AnalyticPriorTakesOverWhenBootstrapIsZero) {
+  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.bootstrap_min_dp_batch = 0;
   CostModel model(co);
@@ -116,6 +122,7 @@ TEST(CostModel, AnalyticPriorTakesOverWhenBootstrapIsZero) {
 }
 
 TEST(CostModel, ConvergesToDpWhenDpMeasuresFaster) {
+  const DispatchForceScope unforced(kUnforced);
   CostModel model(no_probe_options());
   const GroupShape g = shape(256);
   teach(model, g, CostPath::kSeq, 10.0);
@@ -127,6 +134,7 @@ TEST(CostModel, ConvergesToDpWhenDpMeasuresFaster) {
 }
 
 TEST(CostModel, ConvergesToSeqWhenSeqMeasuresFaster) {
+  const DispatchForceScope unforced(kUnforced);
   CostModel model(no_probe_options());
   // Sub-threshold group: the bootstrap prior alone would say sequential,
   // but the point is that measurements override the prior in *both*
@@ -183,6 +191,7 @@ TEST(CostModel, UnmeasuredPathReportsNegativeEstimate) {
 }
 
 TEST(CostModel, ExplorationProbesTheUnmeasuredSide) {
+  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.explore_period = 4;
   CostModel model(co);
@@ -200,6 +209,7 @@ TEST(CostModel, ExplorationProbesTheUnmeasuredSide) {
 }
 
 TEST(CostModel, RefreshReprobesTheMeasuredLoser) {
+  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.refresh_period = 8;
   CostModel model(co);
@@ -218,6 +228,7 @@ TEST(CostModel, RefreshReprobesTheMeasuredLoser) {
 }
 
 TEST(CostModel, WarmedCoefficientsDriveDecisions) {
+  const DispatchForceScope unforced(kUnforced);
   // Forced-coefficients hook: build a snapshot by training a donor model,
   // then warm a fresh one and check it decides identically with no
   // observations of its own.
@@ -290,6 +301,7 @@ TEST(CostModel, MergeSnapshotIsMoreSamplesWins) {
 }
 
 TEST(CostModel, GlobalForcePinsEveryDecision) {
+  const DispatchForceScope unforced(kUnforced);
   CostModel model(no_probe_options());
   const GroupShape g = shape(500);
   teach(model, g, CostPath::kSeq, 1.0);

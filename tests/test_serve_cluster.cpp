@@ -355,7 +355,9 @@ TEST(ClusterChaos, PoisonedReplicaStaysExactViaRetry) {
   dpv::FaultInjector inject(schedule);
 
   serve::ClusterOptions co = cluster_options(4, false);
-  co.engine.min_dp_batch = 1;  // force the dp path, where poison bites
+  // Pin the dp path, where poison bites: a process-wide dispatch force
+  // (DPS_DISPATCH_FORCE=seq) must not route these groups around it.
+  co.engine.dispatch = serve::DispatchMode::kForceDp;
   co.replica_fault_injectors = {&inject};  // replica 0 only
   serve::Cluster cluster(co);
   cluster.mount(lines, mount_options());

@@ -23,6 +23,10 @@ namespace {
 
 class ServeDispatchTest : public ::testing::Test {
  protected:
+  // These tests check the model's own decisions: an environment-wide
+  // DPS_DISPATCH_FORCE must not override them.
+  const test::DispatchForceScope unforced_{test::kUnforced};
+
   void SetUp() override {
     lines_ = data::uniform_segments(500, kWorld, 25.0, 4242);
     dpv::Context ctx;

@@ -137,6 +137,9 @@ TEST_F(QueryEngineTest, EmptyBatch) {
 }
 
 TEST_F(QueryEngineTest, MixedBatchMatchesSequential) {
+  // dp_groups > 0 below relies on the model's prior, not a process-wide
+  // DPS_DISPATCH_FORCE.
+  const test::DispatchForceScope unforced(test::kUnforced);
   EngineOptions opts;
   opts.shards = 4;
   opts.threads = 4;

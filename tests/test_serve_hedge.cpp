@@ -3,7 +3,10 @@
 // shard's own sequential oracle, or opted-in kPartial).  The bar
 // everywhere: a replica that stalls, wedges, or crashes costs bounded
 // latency, never a wrong answer -- and seeded chaos replays
-// bit-identically across runs and engine backends.
+// bit-identically across runs and engine backends.  Round dispatch: a
+// round served inline on the calling thread answers exactly as a fanned
+// out one, and a round with failure-domain machinery armed always fans
+// out.
 
 #include <gtest/gtest.h>
 
@@ -498,6 +501,163 @@ TEST(ClusterLatency, EveryResponseStampedAtSettleTime) {
   EXPECT_GT(m.cache_hits, 0u);
   EXPECT_EQ(m.latency.count(), m.requests)
       << "one latency sample per request, stamped when it settles";
+}
+
+using test::DispatchForceScope;
+using test::kUnforced;
+constexpr int kInline = static_cast<int>(dpv::CostPath::kSeq);
+constexpr int kFanOut = static_cast<int>(dpv::CostPath::kDp);
+
+/// One batch over every request kind the rounds carry: windows, points,
+/// k-nearest (the last few next to the map centre, where four footprints
+/// meet, so the widening round has work), range aggregates and joins.
+std::vector<Request> rounds_batch(const std::vector<geom::Segment>& lines) {
+  std::vector<Request> batch = mixed_batch(lines, 40);
+  for (const geom::Point p : {geom::Point{kWorld / 2 - 3.0, kWorld / 2 - 2.0},
+                              geom::Point{kWorld / 2 + 2.0, kWorld / 2 - 4.0},
+                              geom::Point{kWorld / 2 - 1.0, kWorld / 2 + 3.0}}) {
+    batch.push_back(Request::nearest_query(IndexKind::kRTree, p, 8));
+    batch.push_back(Request::nearest_query(IndexKind::kQuadTree, p, 6));
+  }
+  batch.push_back(Request::aggregate_query(IndexKind::kQuadTree,
+                                           {100.0, 200.0, 700.0, 650.0}));
+  batch.push_back(
+      Request::aggregate_query(IndexKind::kRTree, {0.0, 0.0, kWorld, kWorld}));
+  batch.push_back(Request::aggregate_query(IndexKind::kLinearQuadTree,
+                                           {480.0, 480.0, 560.0, 540.0}));
+  batch.push_back(Request::join_query(IndexKind::kQuadTree));
+  batch.push_back(Request::join_query(IndexKind::kRTree));
+  return batch;
+}
+
+struct RoundsRun {
+  std::vector<Response> responses;
+  ClusterMetrics metrics;
+};
+
+/// Mounts a fresh cluster (and the probe map) and serves `batch` once.
+RoundsRun serve_rounds(const ClusterOptions& co,
+                       const std::vector<geom::Segment>& lines,
+                       const std::vector<geom::Segment>& probe,
+                       std::vector<Request> batch) {
+  serve::Cluster cluster(co);
+  cluster.mount(lines, mount_options());
+  cluster.mount_probe(probe);
+  RoundsRun run;
+  run.responses = cluster.serve(batch);
+  run.metrics = cluster.metrics();
+  return run;
+}
+
+std::vector<geom::Segment> rounds_probe() {
+  auto probe = data::uniform_segments(150, kWorld, 30.0, 918);
+  for (geom::Segment& seg : probe) seg.id += 20000;
+  return probe;
+}
+
+// The same seeded batch served with every round inline, every round
+// fanned out, and as the round model decides: identical answers, each
+// exact against the whole-map oracle, and the round counters show which
+// path ran.
+TEST(ClusterRounds, InlineAndFanOutAnswersAgree) {
+  const auto lines = data::uniform_segments(300, kWorld, 22.0, 908);
+  const auto probe = rounds_probe();
+  Oracle oracle(lines);
+  oracle.mount_probe(probe);
+  const auto batch = rounds_batch(lines);
+  const ClusterOptions co = base_options(4);
+
+  std::vector<RoundsRun> runs;
+  for (const int path : {kInline, kFanOut, kUnforced}) {
+    const DispatchForceScope force(path);
+    runs.push_back(serve_rounds(co, lines, probe, batch));
+  }
+  const char* labels[] = {"inline", "fan-out", "model"};
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_exact(batch[i], runs[r].responses[i], oracle, i, labels[r]);
+    }
+    EXPECT_GT(runs[r].metrics.knn_widened_shards, 0u) << labels[r];
+    EXPECT_EQ(runs[r].metrics.inline_rounds + runs[r].metrics.fanout_rounds,
+              2u)
+        << labels[r] << ": one primary round and one widening round";
+  }
+  EXPECT_EQ(runs[0].metrics.fanout_rounds, 0u);
+  EXPECT_EQ(runs[1].metrics.inline_rounds, 0u);
+
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Response& a = runs[0].responses[i];
+      const Response& b = runs[r].responses[i];
+      EXPECT_EQ(a.status, b.status) << labels[r] << " request " << i;
+      EXPECT_EQ(a.ids, b.ids) << labels[r] << " request " << i;
+      EXPECT_EQ(a.pairs, b.pairs) << labels[r] << " request " << i;
+      ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << labels[r];
+      for (std::size_t j = 0; j < a.neighbors.size(); ++j) {
+        EXPECT_EQ(a.neighbors[j].id, b.neighbors[j].id) << labels[r];
+        EXPECT_EQ(a.neighbors[j].distance2, b.neighbors[j].distance2)
+            << labels[r];
+      }
+      // Shard answers fold in shard order on both paths: bitwise equal.
+      EXPECT_EQ(a.aggregate.count, b.aggregate.count) << labels[r];
+      EXPECT_EQ(a.aggregate.bbox, b.aggregate.bbox) << labels[r];
+      EXPECT_EQ(a.aggregate.length, b.aggregate.length) << labels[r];
+      EXPECT_EQ(a.aggregate.wx, b.aggregate.wx) << labels[r];
+      EXPECT_EQ(a.aggregate.wy, b.aggregate.wy) << labels[r];
+    }
+  }
+}
+
+// Hedging, a replica fault injector, a request deadline and a subrequest
+// timeout each arm machinery that lives in the fan-out wait loop, so even
+// with every round forced inline those rounds fan out -- and every answer
+// stays exact.
+TEST(ClusterRounds, FailureDomainRoundsAlwaysFanOut) {
+  const auto lines = data::uniform_segments(300, kWorld, 22.0, 909);
+  const auto probe = rounds_probe();
+  Oracle oracle(lines);
+  oracle.mount_probe(probe);
+  const auto batch = rounds_batch(lines);
+  const DispatchForceScope force(kInline);
+
+  // A replica that stalls briefly on every subrequest: slow, still exact.
+  dpv::FaultSchedule s = replica0_schedule(test::chaos_seed(76));
+  s.replica_stall_rate = 1.0;
+  s.replica_stall_us = std::chrono::microseconds(300);
+  dpv::FaultInjector inject(s);
+
+  struct Case {
+    const char* label;
+    ClusterOptions co;
+    bool deadline;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"hedge", base_options(4), false});
+  cases.back().co.hedge.enabled = true;
+  cases.back().co.hedge.initial_delay = std::chrono::milliseconds(250);
+  cases.push_back({"replica-injector", base_options(4), false});
+  cases.back().co.replica_fault_injectors = {&inject};
+  cases.push_back({"deadline", base_options(4), true});
+  cases.push_back({"subrequest-timeout", base_options(4), false});
+  cases.back().co.subrequest_timeout = std::chrono::seconds(30);
+
+  for (const Case& c : cases) {
+    auto timed = batch;
+    if (c.deadline) {
+      for (Request& rq : timed) {
+        rq.with_deadline(Clock::now() + std::chrono::seconds(30));
+      }
+    }
+    const RoundsRun run = serve_rounds(c.co, lines, probe, timed);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_exact(batch[i], run.responses[i], oracle, i, c.label);
+    }
+    EXPECT_EQ(run.metrics.inline_rounds, 0u) << c.label;
+    EXPECT_EQ(run.metrics.fanout_rounds, 2u) << c.label;
+    EXPECT_EQ(run.metrics.ok, batch.size()) << c.label;
+  }
+  EXPECT_GT(inject.replica_stall_count(), 0u)
+      << "the injector must actually have stalled subrequests";
 }
 
 }  // namespace

@@ -66,4 +66,33 @@ dpv::Flags random_flags(std::size_t n, std::size_t avg_group,
 /// derived seed is still fully deterministic for its (base, env) pair.
 std::uint64_t chaos_seed(std::uint64_t base);
 
+/// dpv::CostModel::forced_path() value meaning "not forced".
+inline constexpr int kUnforced = -1;
+
+/// Pins the process-wide dispatch force (dpv::CostModel::force) for one
+/// scope -- kUnforced clears it -- and restores the previous setting,
+/// DPS_DISPATCH_FORCE included, on exit.  A test of the model's own
+/// decisions holds an unforced scope: an environment-wide force would
+/// override exactly what it checks.
+class DispatchForceScope {
+ public:
+  explicit DispatchForceScope(int path)
+      : prev_(dpv::CostModel::forced_path()) {
+    set(path);
+  }
+  ~DispatchForceScope() { set(prev_); }
+  DispatchForceScope(const DispatchForceScope&) = delete;
+  DispatchForceScope& operator=(const DispatchForceScope&) = delete;
+
+ private:
+  static void set(int path) {
+    if (path == kUnforced) {
+      dpv::CostModel::unforce();
+    } else {
+      dpv::CostModel::force(static_cast<dpv::CostPath>(path));
+    }
+  }
+  int prev_;
+};
+
 }  // namespace dps::test
