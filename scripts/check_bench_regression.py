@@ -19,7 +19,10 @@ hosts), `s7.cache_ab.hit_rate_kept_ok` (delta-scoped invalidation keeps
 none), and the S8 aggregate A/B bars: `s8.identical` (the
 annotation-augmented aggregate path agrees field-for-field with
 materialize-then-reduce) and `s8.agg_ok` (it does not lose to
-materialize-then-reduce on wall-clock, 1.10 tolerance).  No baseline
+materialize-then-reduce on wall-clock, 1.10 tolerance), and
+`knn_mix.seq_parity_ok` (a fresh one-shard engine serves the
+k-nearest-heavy S3 mix within 1.25x of the one-request-at-a-time loop,
+identical answers).  No baseline
 record is needed: the bars are absolute properties of the serving
 paths, not machine-relative throughput ratios.
 
@@ -73,10 +76,20 @@ def check_serve(fresh):
     else:
         print("  s8.agg_ok: true")
 
+    knn = fresh.get("knn_mix", {})
+    one_shard = next(iter(knn.get("series", [])), {})
+    print(f"  knn_mix: engine/1-shard {one_shard.get('ms')} ms vs sequential "
+          f"{knn.get('sequential_ms')} ms")
+    if knn.get("seq_parity_ok") is not True:
+        print("  knn_mix.seq_parity_ok: false (want true)")
+        failures.append("knn_mix.seq_parity_ok")
+    else:
+        print("  knn_mix.seq_parity_ok: true")
+
     if failures:
         print(f"FAIL: {', '.join(failures)}")
         return 1
-    print("OK: serve update-path and aggregate A/B bars hold")
+    print("OK: serve update-path, aggregate A/B and knn_mix bars hold")
     return 0
 
 

@@ -4,31 +4,20 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 namespace dps::dpv {
 namespace {
 
-// Cell key layout (low to high): kind:4 | index:4 | density:6 | k:6 |
-// size:6 | path:1.  The family is everything below the size bucket.
+// Cell key layout (low to high): kind:4 | index:4 | density:6 | size:6 |
+// path:1.  The family is everything below the size bucket.
 constexpr std::uint64_t kKindShift = 0;
 constexpr std::uint64_t kIndexShift = 4;
 constexpr std::uint64_t kDensityShift = 8;
-constexpr std::uint64_t kKShift = 14;
-constexpr std::uint64_t kSizeShift = 20;
-constexpr std::uint64_t kPathShift = 26;
+constexpr std::uint64_t kSizeShift = 14;
+constexpr std::uint64_t kPathShift = 20;
 
 std::atomic<int>& forced_state() {
-  static std::atomic<int> forced{[] {
-    const char* env = std::getenv("DPS_DISPATCH_FORCE");
-    if (env != nullptr) {
-      if (std::strcmp(env, "dp") == 0) return static_cast<int>(CostPath::kDp);
-      if (std::strcmp(env, "seq") == 0)
-        return static_cast<int>(CostPath::kSeq);
-    }
-    return -1;
-  }()};
+  static std::atomic<int> forced{-1};
   return forced;
 }
 
@@ -72,9 +61,8 @@ std::uint64_t CostModel::family_key(const GroupShape& g) noexcept {
   const auto index = static_cast<std::uint64_t>(g.index & 0xF);
   const auto density =
       static_cast<std::uint64_t>(log2_bucket(g.map_elements));
-  const auto kb = static_cast<std::uint64_t>(log2_bucket(g.mean_k));
   return (kind << kKindShift) | (index << kIndexShift) |
-         (density << kDensityShift) | (kb << kKShift);
+         (density << kDensityShift);
 }
 
 std::uint64_t CostModel::cell_key(const GroupShape& g,

@@ -8,11 +8,11 @@
 // online instead, in the style of sptl's oracle-guided granularity control.
 //
 // Shape of the estimator
-//   A *family* is (request kind x index kind x map-density bucket x k
-//   bucket); density and k are bucketed by floor(log2).  Within a family the
-//   model keeps one cell per (group-size bucket x path), where path is dp or
-//   sequential.  Each cell is an EMA of measured microseconds per query plus
-//   an EMA of the group sizes that fed it.  Costs come from the engine: the
+//   A *family* is (request kind x index kind x map-density bucket); density
+//   is bucketed by floor(log2).  Within a family the model keeps one cell
+//   per (group-size bucket x path), where path is dp or sequential.  Each
+//   cell is an EMA of measured microseconds per query plus an EMA of the
+//   group sizes that fed it.  Costs come from the engine: the
 //   wall-clock of a successful dp pipeline attempt (whose primitive ledger
 //   the `dpv::Context` already records) or of a clean sequential sweep.
 //
@@ -39,10 +39,10 @@
 // Thread safety: all members are guarded by an internal mutex; decide() and
 // observe() may race freely across engine shards.
 //
-// Test hook: force(kDp/kSeq) pins every decision globally (mirroring
-// `simd::force()`); the DPS_DISPATCH_FORCE=dp|seq environment variable is
-// honored at startup.  warm() installs coefficients outright, which is how
-// tests inject forced coefficients and how Cluster replicas share ledgers.
+// Override: force(kDp/kSeq) pins every decision of every model globally
+// (mirroring `simd::force()`); it is the only switch around the model.
+// warm() installs coefficients outright, which is how tests inject forced
+// coefficients and how Cluster replicas share ledgers.
 
 #include <cstddef>
 #include <cstdint>
@@ -61,13 +61,12 @@ enum class CostPath : int {
 
 /// The dispatch-relevant shape of one request group.  `kind` / `index` are
 /// the serving layer's ordinals (the model never interprets them, they only
-/// key families); `mean_k` is 0 for anything but k-nearest groups.
+/// key families).
 struct GroupShape {
   int kind = 0;
   int index = 0;
   std::size_t group_size = 0;
   std::size_t map_elements = 0;
-  std::size_t mean_k = 0;
 };
 
 struct CostModelOptions {
@@ -83,9 +82,6 @@ struct CostModelOptions {
   std::uint32_t explore_period = 32;
   /// Re-probe the measured loser every Nth family decision (0 = never).
   std::uint32_t refresh_period = 128;
-  /// A sequential k-bucket is peeled out of a hybrid k-nearest group only
-  /// when its estimated dp cost exceeds its sequential cost by this factor.
-  double hybrid_margin = 1.1;
   /// Analytic prior used when bootstrap_min_dp_batch == 0.
   MachineModel analytic{};
 };
@@ -144,13 +140,12 @@ class CostModel {
 
   const CostModelOptions& options() const { return opts_; }
 
-  // -- Global force hook (test escape hatch, mirrors simd::force). ---------
+  // -- Global force override (mirrors simd::force). -------------------------
 
   /// Pin every decision of every model to `p` until unforce().
   static void force(CostPath p) noexcept;
   static void unforce() noexcept;
-  /// -1 when unforced, else the CostPath ordinal.  Honors the
-  /// DPS_DISPATCH_FORCE=dp|seq environment variable at startup.
+  /// -1 when unforced, else the CostPath ordinal.
   static int forced_path() noexcept;
 
   // -- Bucketing (exposed for tests). ---------------------------------------

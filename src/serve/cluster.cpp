@@ -692,7 +692,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
   // time the engines price their dispatch groups with -- the choice here
   // is about span, and fan-out work runs on pool threads this thread's
   // CPU clock never sees.
-  const dpv::GroupShape shape{0, static_cast<int>(round), routed, 0, 0};
+  const dpv::GroupShape shape{0, static_cast<int>(round), routed, 0};
   const bool inline_round = eligible && !round_model_.decide(shape).use_dp;
   const auto t0 = Clock::now();
   if (inline_round) {

@@ -560,10 +560,28 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
                                  std::size_t shard,
                                  const std::atomic<bool>* xcancel,
                                  ShardScratch& scratch) {
+  // Sequential sweep; returns true when every request ran.
+  const auto sweep = [&] {
+    ++scratch.seq_groups;
+    bool clean = true;
+    for (const std::size_t i : live) {
+      const Status s = pre_status(batch[i], xcancel);
+      responses[i].status =
+          s == Status::kOk ? run_sequential(gen, batch[i], responses[i]) : s;
+      clean = clean && s == Status::kOk;
+    }
+    return clean;
+  };
+
+  // No dp kernel: the pair is served sequentially and never priced.
+  const KindOps& ops = kind_ops(kind);
+  if (ops.dp(index) == nullptr) {
+    sweep();
+    return;
+  }
   // A one-computation group (join: the mounted maps carry the whole
   // payload) gives the group-size cost model nothing to price: run the
   // attempt chain directly and keep the model untrained on it.
-  const KindOps& ops = kind_ops(kind);
   if (ops.one_per_group) {
     run_group(gen, batch, responses, kind, index, live, shard, xcancel,
               scratch);
@@ -573,120 +591,22 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
   // Chaos runs stall lanes and abort attempts; their wall-clocks would
   // poison the estimator, so the model only learns from clean engines.
   const bool observe = opts_.fault_injector == nullptr;
-
-  // The cost model's view of a group of `n` requests (mean_k = 0 unless
-  // the kind is k-bucketed).
-  const auto shape = [&](std::size_t n, std::size_t mk) {
-    return dpv::GroupShape{static_cast<int>(kind), static_cast<int>(index), n,
-                           index_elements(gen, index), mk};
-  };
-  const auto mean_k = [&batch](const std::vector<std::size_t>& sub) {
-    std::size_t sum = 0;
-    for (const std::size_t i : sub) sum += batch[i].k;
-    return sub.empty() ? std::size_t{0} : sum / sub.size();
-  };
-
-  // Sequential sweep; a clean one (every request ran) is a measurement.
-  const auto run_seq = [&](const std::vector<std::size_t>& sub,
-                           std::size_t mk) {
-    ++scratch.seq_groups;
-    const double t = observe_clock_us();
-    std::size_t executed = 0;
-    for (const std::size_t i : sub) {
-      const Status s = pre_status(batch[i], xcancel);
-      if (s == Status::kOk) {
-        responses[i].status = run_sequential(gen, batch[i], responses[i]);
-        ++executed;
-      } else {
-        responses[i].status = s;
-      }
-    }
-    if (observe && executed == sub.size()) {
-      cost_model_.observe(shape(sub.size(), mk), dpv::CostPath::kSeq,
-                          observe_clock_us() - t);
-    }
-  };
-
-  const auto run_dp = [&](const std::vector<std::size_t>& sub,
-                          std::size_t mk) {
-    double dp_attempt_us = -1.0;
-    run_group(gen, batch, responses, kind, index, sub, shard, xcancel, scratch,
-              &dp_attempt_us);
-    if (observe && dp_attempt_us >= 0.0) {
-      cost_model_.observe(shape(sub.size(), mk), dpv::CostPath::kDp,
-                          dp_attempt_us);
-    }
-  };
-
-  const std::size_t group_k = ops.k_bucketed ? mean_k(live) : 0;
-  switch (opts_.dispatch) {
-    case DispatchMode::kForceDp:
-      run_dp(live, group_k);
-      return;
-    case DispatchMode::kForceSeq:
-      run_seq(live, group_k);
-      return;
-    case DispatchMode::kStatic:
-      if (live.size() >= opts_.min_dp_batch) {
-        run_dp(live, group_k);
-      } else {
-        run_seq(live, group_k);
-      }
-      return;
-    case DispatchMode::kModel:
-      break;
-  }
-
-  if (!ops.k_bucketed) {
-    if (cost_model_.decide(shape(live.size(), 0)).use_dp) {
-      run_dp(live, 0);
-    } else {
-      run_seq(live, 0);
+  const dpv::GroupShape shape{static_cast<int>(kind), static_cast<int>(index),
+                              live.size(), index_elements(gen, index)};
+  if (cost_model_.decide(shape).use_dp) {
+    double dp_us = -1.0;
+    run_group(gen, batch, responses, kind, index, live, shard, xcancel,
+              scratch, &dp_us);
+    if (observe && dp_us >= 0.0) {
+      cost_model_.observe(shape, dpv::CostPath::kDp, dp_us);
     }
     return;
   }
-
-  // k-bucketed groups decide per k bucket, which is where the hybrid split
-  // comes from: a small-k (or just small) bucket whose measured sequential
-  // cost beats the dp estimate by `hybrid_margin` peels out of the
-  // pipeline, the rest run as one dp group.
-  std::array<std::vector<std::size_t>, 64> buckets;
-  for (const std::size_t i : live) {
-    buckets[static_cast<std::size_t>(
-                dpv::CostModel::log2_bucket(batch[i].k))]
-        .push_back(i);
+  // A clean sweep (every request ran) is a measurement.
+  const double t = observe_clock_us();
+  if (sweep() && observe) {
+    cost_model_.observe(shape, dpv::CostPath::kSeq, observe_clock_us() - t);
   }
-  std::vector<std::size_t> dp_side;
-  std::vector<std::pair<std::vector<std::size_t>, std::size_t>> seq_side;
-  std::vector<std::pair<std::vector<std::size_t>, std::size_t>> dp_probes;
-  for (auto& bucket : buckets) {
-    if (bucket.empty()) continue;
-    const std::size_t mk = mean_k(bucket);
-    const dpv::CostDecision d = cost_model_.decide(shape(bucket.size(), mk));
-    bool seq = !d.use_dp;
-    if (seq && d.measured && !d.explored) {
-      // Peeling shrinks the dp group everyone else amortizes against, so a
-      // measured bucket leaves only when sequential wins by a margin.
-      seq = d.seq_us * cost_model_.options().hybrid_margin <= d.dp_us;
-    }
-    if (seq) {
-      seq_side.emplace_back(std::move(bucket), mk);
-    } else if (d.explored || !d.measured) {
-      // Probes and not-yet-measured buckets run alone: merged into the
-      // bulk group, their wall-clock would be observed under the *merged*
-      // group's (k, size) family, this bucket's own cells would never
-      // train, and a bootstrap-dp bucket would stay on the prior forever
-      // (a k = 1 sliver never shifts the bulk group's mean-k family).
-      dp_probes.emplace_back(std::move(bucket), mk);
-    } else {
-      dp_side.insert(dp_side.end(), bucket.begin(), bucket.end());
-    }
-  }
-  const bool any_dp = !dp_side.empty() || !dp_probes.empty();
-  if (any_dp && !seq_side.empty()) ++scratch.hybrid_groups;
-  if (!dp_side.empty()) run_dp(dp_side, mean_k(dp_side));
-  for (const auto& [sub, mk] : dp_probes) run_dp(sub, mk);
-  for (const auto& [sub, mk] : seq_side) run_seq(sub, mk);
 }
 
 void QueryEngine::execute_shard(const IndexGen& gen,
@@ -733,9 +653,8 @@ void QueryEngine::execute_shard(const IndexGen& gen,
     }
 
     if (!live.empty()) {
-      // Every supported (kind, index) combo has a batch pipeline; the
-      // dispatch policy (cost model by default) picks dp / sequential /
-      // hybrid per group.
+      // Sequential when the pair has no batch pipeline, else the cost
+      // model picks dp or sequential for the group.
       dispatch_group(gen, batch, responses, kind, index, live, shard, xcancel,
                      scratch);
     }
@@ -843,7 +762,6 @@ std::vector<Response> QueryEngine::serve(const std::vector<Request>& batch,
     delta.stages += sc.stages;
     delta.dp_groups += sc.dp_groups;
     delta.seq_groups += sc.seq_groups;
-    delta.hybrid_groups += sc.hybrid_groups;
     delta.retries += sc.retries;
     delta.seq_fallbacks += sc.seq_fallbacks;
   }

@@ -22,9 +22,9 @@
 //     (forked via `Context::fork_serial`), so concurrent shards never race
 //     on a primitive ledger.  Within a shard, requests regroup by
 //     (kind, index) and each group runs its kind's data-parallel kernel
-//     (`batch_window_query`, `batch_point_query`, `batch_k_nearest`,
+//     (`batch_window_query`, `batch_point_query`,
 //     `batch_window_aggregate`, `dp_spatial_join`; see serve/kinds.hpp)
-//     in one shot.
+//     in one shot, or its sequential kernel request by request.
 //   * Retry with backoff.  When a group's data-parallel attempt aborts on
 //     an injected fault (or a poisoned shard attempt), surviving requests
 //     retry up to `max_retries` more times behind exponential backoff with
@@ -38,15 +38,12 @@
 //     scope = (shard, attempt)) and into the engine pool (lane stalls),
 //     so chaos schedules replay bit-identically: same seed, same
 //     responses, same retry metrics, on serial and thread-pool backends.
-//   * Oracular dispatch.  Every supported (kind, index) pair has a
-//     data-parallel kernel, but whether a group takes it is decided by an
-//     online
-//     `dpv::CostModel`: measured wall-clock per (kind x index x
-//     map-density x batch-size bucket) picks dp vs sequential per group,
-//     k-nearest groups may *split* (small-k tail sequential, bulk dp),
-//     and `min_dp_batch` survives only as the model's bootstrap prior.
-//     `EngineOptions::dispatch` offers escape hatches: the legacy static
-//     threshold (fully deterministic) and force-dp / force-seq.
+//   * Oracular dispatch.  One rule per group: a (kind, index) pair with no
+//     data-parallel kernel (k-nearest) runs sequentially; every other group
+//     takes whichever path an online `dpv::CostModel` picks from measured
+//     cost per (kind x index x map-density x batch-size bucket).
+//     `min_dp_batch` survives only as the model's bootstrap prior, and
+//     `dpv::CostModel::force` is the one override.
 //   * Scratch arenas.  Each shard owns a persistent `dpv::Arena`; the
 //     batch pipelines open a round scope on it, so a steady-state shard
 //     recycles the previous batch's scratch buffers and allocates nothing
@@ -143,33 +140,17 @@ struct PreparedUpdate {
   bool ok() const noexcept { return status == Status::kOk; }
 };
 
-/// How a request group picks the data-parallel pipeline vs the sequential
-/// path.
-enum class DispatchMode {
-  /// Online `dpv::CostModel`: measured per-family coefficients decide, with
-  /// `min_dp_batch` as the unmeasured bootstrap prior; k-nearest groups may
-  /// split hybrid (small-k tail sequential, bulk dp).
-  kModel,
-  /// Legacy static threshold: dp iff the group has >= `min_dp_batch` live
-  /// requests.  Fully deterministic (chaos replay tests pin this).
-  kStatic,
-  /// Every group takes the dp pipeline regardless of size.
-  kForceDp,
-  /// Every group walks the sequential path.
-  kForceSeq,
-};
-
 struct EngineOptions {
   /// Worker sessions a batch is split across (0 = one per pool lane).
   std::size_t shards = 0;
   /// OS-thread lanes of the engine's pool (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Bootstrap prior of the dispatch cost model (and the exact threshold
-  /// under DispatchMode::kStatic): until a family has measurements, groups
-  /// at least this large take the data-parallel pipeline.
+  /// Bootstrap prior of the dispatch cost model: until a family has
+  /// measurements, groups at least this large take the data-parallel
+  /// pipeline.  An engine with a `fault_injector` never trains its model,
+  /// so there this is the exact threshold and chaos replay stays
+  /// deterministic.
   std::size_t min_dp_batch = 8;
-  /// Dispatch policy; kModel unless a test or A/B needs an escape hatch.
-  DispatchMode dispatch = DispatchMode::kModel;
   /// Cost-model tuning.  `bootstrap_min_dp_batch` is overwritten with
   /// `min_dp_batch` at engine construction (one knob, not two).
   dpv::CostModelOptions cost_model;
@@ -369,7 +350,6 @@ class QueryEngine {
     StageTimes stages;
     std::uint64_t dp_groups = 0;
     std::uint64_t seq_groups = 0;
-    std::uint64_t hybrid_groups = 0;
     std::uint64_t retries = 0;
     std::uint64_t seq_fallbacks = 0;
   };
@@ -380,9 +360,9 @@ class QueryEngine {
                      std::size_t shard, std::size_t lo, std::size_t hi,
                      const std::atomic<bool>* xcancel, ShardScratch& scratch);
 
-  /// Routes one live (kind, index) group per `opts_.dispatch`: dp, seq, or
-  /// (k-nearest under the model) a hybrid per-k-bucket split.  Feeds the
-  /// cost model with measured wall-clock when no fault injector is armed.
+  /// Routes one live (kind, index) group: sequentially when the pair has
+  /// no dp kernel, else down the path the cost model picks.  Feeds the
+  /// model the measured cost when no fault injector is armed.
   void dispatch_group(const IndexGen& gen, const std::vector<Request>& batch,
                       std::vector<Response>& responses, RequestKind kind,
                       IndexKind index, const std::vector<std::size_t>& live,

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "core/batch_nearest.hpp"
 #include "core/dp_spatial_join.hpp"
 #include "core/nearest.hpp"
 #include "core/query.hpp"
@@ -240,16 +239,6 @@ Status nearest_seq(const GenView& g, const Request& rq, Response& rsp) {
   rsp.neighbors = core::k_nearest(tree<I>(g), rq.point, rq.k);
   return Status::kOk;
 }
-template <IndexKind I>
-bool nearest_dp(dpv::Context& ctx, const GenView& g, const Batch& batch,
-                const Live& live, const core::BatchControl& control,
-                std::vector<Response>& rsps) {
-  return scatter(core::batch_k_nearest(ctx, tree<I>(g),
-                                       gather(batch, live, &Request::point),
-                                       gather(batch, live, &Request::k),
-                                       control),
-                 live, rsps, &Response::neighbors);
-}
 
 template <IndexKind I>
 Status aggregate_seq(const GenView& g, const Request& rq, Response& rsp) {
@@ -339,10 +328,9 @@ constexpr std::array<KindOps, kNumKinds> kOps{{
      .merge = &merge_neighbors,
      .take = &take<&Response::neighbors>,
      .run_seq = {&nearest_seq<kQ>, &nearest_seq<kR>, nullptr},
-     .run_dp = {&nearest_dp<kQ>, &nearest_dp<kR>, nullptr},
+     .run_dp = {nullptr, nullptr, nullptr},
      .stage = &StageTimes::nearest_ms,
-     .requests = &ServeMetrics::nearest_requests,
-     .k_bucketed = true},
+     .requests = &ServeMetrics::nearest_requests},
     {.kind = RequestKind::kAggregate,
      .validate = &valid_window,
      .canonical_key = &key_window,

@@ -8,8 +8,11 @@
 // path.  Adding a request kind means writing one descriptor and its
 // kernels.
 //
-// A null kernel entry marks the (kind, index) pair unsupported: every
-// layer settles such a request kRejected.
+// A null sequential kernel marks the (kind, index) pair unsupported: every
+// layer settles such a request kRejected.  A null data-parallel kernel
+// beside a sequential one means the pair is served sequentially (k-nearest:
+// its batch pipeline loses to the best-first queue on every measured
+// workload), and the dispatch cost model never prices it.
 //
 // The kernels read one immutable index generation (IndexGen, what
 // QueryEngine publishes RCU-style) through a GenView, which materializes
@@ -221,9 +224,6 @@ struct KindOps {
   /// Every request of a group asks the same question, so a group is one
   /// computation and the group-size cost model has nothing to price.
   bool one_per_group = false;
-  /// Dispatch decides per log2(k) bucket, so a group may split hybrid
-  /// (small-k tail sequential, bulk data-parallel).
-  bool k_bucketed = false;
 
   bool supports(IndexKind index) const noexcept {
     return run_seq[static_cast<std::size_t>(index)] != nullptr;

@@ -91,9 +91,9 @@ struct ServeMetrics {
   // Execution-path split: groups that ran the data-parallel pipeline vs
   // groups that walked the per-request sequential path (dispatch decision,
   // exhausted retries, or a deadline / cancel abort).
-  // `hybrid_groups` counts k-nearest groups the cost model split -- the
-  // small-k tail walked sequentially while the bulk ran the dp pipeline
-  // (such a group increments dp_groups, seq_groups, and hybrid_groups).
+  // `hybrid_groups` always reads 0: it counted k-nearest groups split
+  // between the two paths, and k-nearest is now served sequentially.  The
+  // field stays only because the end-to-end benchmark still reads it.
   std::uint64_t dp_groups = 0;
   std::uint64_t seq_groups = 0;
   std::uint64_t hybrid_groups = 0;

@@ -2,8 +2,7 @@
 // forced coefficients, snapshot/warm round-trips, and the global force
 // hook.  Everything here is synthetic -- observations are hand-fed
 // microsecond figures, never wall-clock -- so the tests are exact and
-// deterministic.  Tests of decide() hold an unforced scope, so they check
-// the model even under DPS_DISPATCH_FORCE.
+// deterministic.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <limits>
 
 #include "dpv/cost_model.hpp"
-#include "test_util.hpp"
 
 namespace {
 
@@ -23,16 +21,13 @@ using dps::dpv::CostModelSnapshot;
 using dps::dpv::CostPath;
 using dps::dpv::GroupShape;
 using dps::dpv::merge_snapshot;
-using dps::test::DispatchForceScope;
-using dps::test::kUnforced;
 
-GroupShape shape(std::size_t n, std::size_t k = 0) {
+GroupShape shape(std::size_t n) {
   GroupShape g;
   g.kind = 2;
   g.index = 1;
   g.group_size = n;
   g.map_elements = 20000;
-  g.mean_k = k;
   return g;
 }
 
@@ -67,16 +62,13 @@ TEST(CostModel, Log2BucketFloorsAndClamps) {
 }
 
 TEST(CostModel, CellKeySeparatesFamiliesSizesAndPaths) {
-  const GroupShape a = shape(512, 8);
+  const GroupShape a = shape(512);
   GroupShape b = a;
   b.index = 2;  // different index kind -> different family
   GroupShape c = a;
   c.group_size = 1024;  // different size bucket, same family
-  GroupShape d = a;
-  d.mean_k = 32;  // different k bucket -> different family
 
   EXPECT_NE(CostModel::family_key(a), CostModel::family_key(b));
-  EXPECT_NE(CostModel::family_key(a), CostModel::family_key(d));
   EXPECT_EQ(CostModel::family_key(a), CostModel::family_key(c));
   EXPECT_NE(CostModel::cell_key(a, CostPath::kDp),
             CostModel::cell_key(c, CostPath::kDp));
@@ -92,7 +84,6 @@ TEST(CostModel, CellKeySeparatesFamiliesSizesAndPaths) {
 }
 
 TEST(CostModel, BootstrapPriorReproducesStaticThreshold) {
-  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.bootstrap_min_dp_batch = 8;
   CostModel model(co);
@@ -102,7 +93,6 @@ TEST(CostModel, BootstrapPriorReproducesStaticThreshold) {
 }
 
 TEST(CostModel, AnalyticPriorTakesOverWhenBootstrapIsZero) {
-  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.bootstrap_min_dp_batch = 0;
   CostModel model(co);
@@ -122,7 +112,6 @@ TEST(CostModel, AnalyticPriorTakesOverWhenBootstrapIsZero) {
 }
 
 TEST(CostModel, ConvergesToDpWhenDpMeasuresFaster) {
-  const DispatchForceScope unforced(kUnforced);
   CostModel model(no_probe_options());
   const GroupShape g = shape(256);
   teach(model, g, CostPath::kSeq, 10.0);
@@ -134,7 +123,6 @@ TEST(CostModel, ConvergesToDpWhenDpMeasuresFaster) {
 }
 
 TEST(CostModel, ConvergesToSeqWhenSeqMeasuresFaster) {
-  const DispatchForceScope unforced(kUnforced);
   CostModel model(no_probe_options());
   // Sub-threshold group: the bootstrap prior alone would say sequential,
   // but the point is that measurements override the prior in *both*
@@ -191,7 +179,6 @@ TEST(CostModel, UnmeasuredPathReportsNegativeEstimate) {
 }
 
 TEST(CostModel, ExplorationProbesTheUnmeasuredSide) {
-  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.explore_period = 4;
   CostModel model(co);
@@ -209,7 +196,6 @@ TEST(CostModel, ExplorationProbesTheUnmeasuredSide) {
 }
 
 TEST(CostModel, RefreshReprobesTheMeasuredLoser) {
-  const DispatchForceScope unforced(kUnforced);
   CostModelOptions co = no_probe_options();
   co.refresh_period = 8;
   CostModel model(co);
@@ -228,7 +214,6 @@ TEST(CostModel, RefreshReprobesTheMeasuredLoser) {
 }
 
 TEST(CostModel, WarmedCoefficientsDriveDecisions) {
-  const DispatchForceScope unforced(kUnforced);
   // Forced-coefficients hook: build a snapshot by training a donor model,
   // then warm a fresh one and check it decides identically with no
   // observations of its own.
@@ -250,13 +235,13 @@ TEST(CostModel, SnapshotRoundTripPreservesEstimates) {
   CostModel a(no_probe_options());
   teach(a, shape(64), CostPath::kSeq, 3.0);
   teach(a, shape(64), CostPath::kDp, 7.0);
-  teach(a, shape(1024, 8), CostPath::kDp, 0.5);
+  teach(a, shape(1024), CostPath::kDp, 0.5);
   const CostModelSnapshot snap = a.snapshot();
   ASSERT_EQ(snap.entries.size(), 3u);
 
   CostModel b(no_probe_options());
   b.warm(snap);
-  for (const auto& g : {shape(64), shape(1024, 8)}) {
+  for (const auto& g : {shape(64), shape(1024)}) {
     for (const auto p : {CostPath::kSeq, CostPath::kDp}) {
       EXPECT_DOUBLE_EQ(b.estimate_us(g, p), a.estimate_us(g, p));
     }
@@ -301,7 +286,6 @@ TEST(CostModel, MergeSnapshotIsMoreSamplesWins) {
 }
 
 TEST(CostModel, GlobalForcePinsEveryDecision) {
-  const DispatchForceScope unforced(kUnforced);
   CostModel model(no_probe_options());
   const GroupShape g = shape(500);
   teach(model, g, CostPath::kSeq, 1.0);

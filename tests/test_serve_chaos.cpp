@@ -135,9 +135,9 @@ class ServeChaosTest : public ::testing::Test {
     EngineOptions opts;
     opts.shards = shards;
     opts.threads = threads;
-    // Chaos replay asserts bit-identical retry metrics across runs; the
-    // static threshold keeps dispatch a pure function of the batch.
-    opts.dispatch = DispatchMode::kStatic;
+    // Chaos replay asserts bit-identical retry metrics across runs; an
+    // engine with an injector never trains its model, so dispatch stays
+    // the min_dp_batch prior, a pure function of the batch.
     opts.min_dp_batch = 4;
     opts.max_retries = 2;
     opts.backoff_base = std::chrono::microseconds(5);

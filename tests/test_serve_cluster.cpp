@@ -18,6 +18,7 @@
 #include "data/data.hpp"
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
+#include "test_util.hpp"
 
 namespace dps {
 namespace {
@@ -355,9 +356,8 @@ TEST(ClusterChaos, PoisonedReplicaStaysExactViaRetry) {
   dpv::FaultInjector inject(schedule);
 
   serve::ClusterOptions co = cluster_options(4, false);
-  // Pin the dp path, where poison bites: a process-wide dispatch force
-  // (DPS_DISPATCH_FORCE=seq) must not route these groups around it.
-  co.engine.dispatch = serve::DispatchMode::kForceDp;
+  // Pin the dp path, where poison bites.
+  const test::DispatchForceScope force(static_cast<int>(dpv::CostPath::kDp));
   co.replica_fault_injectors = {&inject};  // replica 0 only
   serve::Cluster cluster(co);
   cluster.mount(lines, mount_options());

@@ -128,10 +128,8 @@ TEST_P(ServeDifferential, EngineMatchesSequential) {
   serve::EngineOptions opts;
   opts.shards = c.shards;
   opts.threads = c.threads;
-  // The sweep's min_dp_batch cases ("always sequential", "always dp") are
-  // about the *threshold*; pin the static policy so the cost model cannot
-  // re-route them.  Model-driven dispatch has its own suite.
-  opts.dispatch = serve::DispatchMode::kStatic;
+  // A fresh engine's one serve is decided by the min_dp_batch prior, so
+  // the sweep's "always sequential" and "always dp" cases hold.
   opts.min_dp_batch = c.min_dp_batch;
   serve::QueryEngine engine(opts);
   engine.mount(&quad_);
@@ -222,30 +220,28 @@ TEST_P(ServeDifferential, BatchPipelinesMatchSequential) {
   }
 }
 
-// With the threshold at 1, every group -- all eight supported
-// (kind, index) combinations, k-nearest included -- must take the
-// data-parallel path: the engine may not silently fall back to
-// sequential traversal.
+// Under a forced dp path, every group with a data-parallel kernel -- the
+// window and point combinations on all three indexes -- must take it: the
+// engine may not silently fall back to sequential traversal.  k-nearest
+// has no serving pipeline, so its groups sweep sequentially, exactly.
 TEST_P(ServeDifferential, AllCombosExecuteDataParallel) {
   const ServeCase& c = GetParam();
+  const test::DispatchForceScope force(static_cast<int>(dpv::CostPath::kDp));
   serve::EngineOptions opts;
   opts.shards = c.shards;
   opts.threads = c.threads;
-  // This test's contract is "every group takes the dp pipeline"; say so
-  // directly instead of relying on the threshold-1 prior.
-  opts.dispatch = serve::DispatchMode::kForceDp;
-  opts.min_dp_batch = 1;
   serve::QueryEngine engine(opts);
   engine.mount(&quad_);
   engine.mount(&rtree_);
   engine.mount(&linear_);
 
   // Every supported combo in rotation: windows and points on all three
-  // indexes, k-nearest on the two tree indexes.
+  // indexes, k-nearest on the two tree indexes (split into its own batch).
   std::mt19937_64 rng(c.seed * 6151 + 3);
   std::uniform_real_distribution<double> pos(0.0, kWorld - 1.0);
   std::uniform_int_distribution<std::size_t> kdist(1, 8);
-  std::vector<serve::Request> batch;
+  std::vector<serve::Request> dp_batch;
+  std::vector<serve::Request> knn_batch;
   for (std::size_t i = 0; i < std::min<std::size_t>(c.n_requests, 300); ++i) {
     const auto idx = static_cast<serve::IndexKind>(i % 3);
     const double x = pos(rng), y = pos(rng);
@@ -253,47 +249,52 @@ TEST_P(ServeDifferential, AllCombosExecuteDataParallel) {
       case 0:
       case 3:
       case 5:
-        batch.push_back(serve::Request::window_query(
+        dp_batch.push_back(serve::Request::window_query(
             idx,
             {x, y, std::min(kWorld, x + 40.0), std::min(kWorld, y + 30.0)}));
         break;
       case 1:
       case 4:
       case 7:
-        batch.push_back(serve::Request::point_query(
+        dp_batch.push_back(serve::Request::point_query(
             idx, !lines_.empty() ? lines_[i % lines_.size()].mid()
                                  : geom::Point{x, y}));
         break;
       default:
-        batch.push_back(serve::Request::nearest_query(
+        knn_batch.push_back(serve::Request::nearest_query(
             i % 8 == 2 ? serve::IndexKind::kQuadTree : serve::IndexKind::kRTree,
             {x, y}, kdist(rng)));
         break;
     }
   }
-  const auto responses = engine.serve(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(responses[i].status, serve::Status::kOk) << "request " << i;
-    if (batch[i].kind == serve::RequestKind::kNearest) {
-      const auto want =
-          batch[i].index == serve::IndexKind::kQuadTree
-              ? core::k_nearest(quad_, batch[i].point, batch[i].k)
-              : core::k_nearest(rtree_, batch[i].point, batch[i].k);
-      ASSERT_EQ(responses[i].neighbors.size(), want.size()) << "request " << i;
-      for (std::size_t j = 0; j < want.size(); ++j) {
-        EXPECT_EQ(responses[i].neighbors[j].id, want[j].id)
-            << "request " << i << " neighbor " << j;
-        EXPECT_DOUBLE_EQ(responses[i].neighbors[j].distance2,
-                         want[j].distance2);
+  const auto expect_exact = [&](const std::vector<serve::Request>& batch) {
+    const auto responses = engine.serve(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(responses[i].status, serve::Status::kOk) << "request " << i;
+      if (batch[i].kind == serve::RequestKind::kNearest) {
+        const auto want =
+            batch[i].index == serve::IndexKind::kQuadTree
+                ? core::k_nearest(quad_, batch[i].point, batch[i].k)
+                : core::k_nearest(rtree_, batch[i].point, batch[i].k);
+        ASSERT_EQ(responses[i].neighbors.size(), want.size())
+            << "request " << i;
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          EXPECT_EQ(responses[i].neighbors[j].id, want[j].id)
+              << "request " << i << " neighbor " << j;
+          EXPECT_DOUBLE_EQ(responses[i].neighbors[j].distance2,
+                           want[j].distance2);
+        }
+      } else {
+        EXPECT_EQ(responses[i].ids, sequential_ids(batch[i]))
+            << "request " << i;
       }
-    } else {
-      EXPECT_EQ(responses[i].ids, sequential_ids(batch[i])) << "request " << i;
     }
-  }
+  };
+
+  expect_exact(dp_batch);
   const serve::ServeMetrics m = engine.metrics();
   EXPECT_EQ(m.seq_groups, 0u)
-      << "a group (k-nearest included) silently degraded to sequential "
-         "traversal";
+      << "a group silently degraded to sequential traversal";
   EXPECT_EQ(m.seq_fallbacks, 0u)
       << "a fault-free dp pipeline burned its retries and fell back";
   EXPECT_GT(m.dp_groups, 0u);
@@ -301,6 +302,13 @@ TEST_P(ServeDifferential, AllCombosExecuteDataParallel) {
   const dpv::ArenaStats arena = engine.arena_stats();
   EXPECT_GT(arena.rounds, 0u);
   EXPECT_EQ(arena.live_blocks, 0u);
+
+  engine.reset_metrics();
+  expect_exact(knn_batch);
+  const serve::ServeMetrics knn = engine.metrics();
+  EXPECT_EQ(knn.dp_groups, 0u) << "k-nearest reached a dp pipeline";
+  EXPECT_GT(knn.seq_groups, 0u);
+  EXPECT_EQ(knn.prims.total_invocations(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

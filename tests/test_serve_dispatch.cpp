@@ -1,9 +1,8 @@
-// Oracular dispatch at the engine level: the DispatchMode escape hatches,
-// the static-threshold compatibility mode, warmed-coefficient steering,
-// the hybrid k-nearest split, chaos-mode exactness, and cluster ledger
-// sharing.  Every path must answer byte-identically to the sequential
-// oracle -- dispatch picks *when* work runs data-parallel, never *what*
-// the answer is.
+// Oracular dispatch at the engine level: the force override, sequential
+// k-nearest, warmed-coefficient steering, model convergence, chaos-mode
+// exactness, and cluster ledger sharing.  Every path must answer
+// byte-identically to the sequential oracle -- dispatch picks *when* work
+// runs data-parallel, never *what* the answer is.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +20,11 @@
 namespace dps::serve {
 namespace {
 
+constexpr int kForceDp = static_cast<int>(dpv::CostPath::kDp);
+constexpr int kForceSeq = static_cast<int>(dpv::CostPath::kSeq);
+
 class ServeDispatchTest : public ::testing::Test {
  protected:
-  // These tests check the model's own decisions: an environment-wide
-  // DPS_DISPATCH_FORCE must not override them.
-  const test::DispatchForceScope unforced_{test::kUnforced};
-
   void SetUp() override {
     lines_ = data::uniform_segments(500, kWorld, 25.0, 4242);
     dpv::Context ctx;
@@ -79,14 +77,26 @@ class ServeDispatchTest : public ::testing::Test {
     return batch;
   }
 
-  std::vector<Request> knn_requests(std::size_t n, std::size_t k) const {
+  /// `mixed_requests` without its k-nearest requests: every group has a
+  /// data-parallel kernel.
+  std::vector<Request> dp_kernel_requests(std::size_t n) const {
+    std::vector<Request> batch = mixed_requests(n);
+    std::erase_if(batch, [](const Request& rq) {
+      return rq.kind == RequestKind::kNearest;
+    });
+    return batch;
+  }
+
+  /// k-nearest requests alternating between the quadtree and the R-tree,
+  /// k in [1, 16].
+  std::vector<Request> knn_requests(std::size_t n) const {
     std::vector<Request> batch;
     for (std::size_t i = 0; i < n; ++i) {
       batch.push_back(Request::nearest_query(
-          IndexKind::kQuadTree,
+          i % 2 == 0 ? IndexKind::kQuadTree : IndexKind::kRTree,
           {static_cast<double>((i * 97) % 900),
            static_cast<double>((i * 61) % 900)},
-          k));
+          1 + i % 16));
     }
     return batch;
   }
@@ -138,8 +148,8 @@ class ServeDispatchTest : public ::testing::Test {
 
   /// The shape the engine hands the cost model for a group of `n` requests
   /// (mirrors QueryEngine::group_shape; its ordinals are the enum values).
-  dpv::GroupShape gshape(RequestKind kind, IndexKind index, std::size_t n,
-                         std::size_t k) const {
+  dpv::GroupShape gshape(RequestKind kind, IndexKind index,
+                         std::size_t n) const {
     dpv::GroupShape g;
     g.kind = static_cast<int>(kind);
     g.index = static_cast<int>(index);
@@ -149,7 +159,6 @@ class ServeDispatchTest : public ::testing::Test {
                          : index == IndexKind::kRTree
                                ? rtree_.entries().size()
                                : linear_.edges().size();
-    g.mean_k = k;
     return g;
   }
 
@@ -168,7 +177,6 @@ class ServeDispatchTest : public ::testing::Test {
     EngineOptions opts;
     opts.shards = 1;
     opts.threads = 1;
-    opts.dispatch = DispatchMode::kModel;
     opts.cost_model.explore_period = 0;
     opts.cost_model.refresh_period = 0;
     return opts;
@@ -182,12 +190,12 @@ class ServeDispatchTest : public ::testing::Test {
 };
 
 TEST_F(ServeDispatchTest, ForceDpRunsEveryGroupDataParallel) {
+  const test::DispatchForceScope force(kForceDp);
   EngineOptions opts;
   opts.shards = 2;
-  opts.dispatch = DispatchMode::kForceDp;
-  opts.min_dp_batch = 1000000;  // must be ignored under kForceDp
+  opts.min_dp_batch = 1000000;  // must be ignored under the force
   auto engine = make_engine(opts);
-  const auto batch = mixed_requests(120);
+  const auto batch = dp_kernel_requests(120);
   expect_matches_sequential(batch, engine->serve(batch), "force-dp");
   const ServeMetrics m = engine->metrics();
   EXPECT_GT(m.dp_groups, 0u);
@@ -196,10 +204,10 @@ TEST_F(ServeDispatchTest, ForceDpRunsEveryGroupDataParallel) {
 }
 
 TEST_F(ServeDispatchTest, ForceSeqNeverTouchesThePipelines) {
+  const test::DispatchForceScope force(kForceSeq);
   EngineOptions opts;
   opts.shards = 2;
-  opts.dispatch = DispatchMode::kForceSeq;
-  opts.min_dp_batch = 1;  // must be ignored under kForceSeq
+  opts.min_dp_batch = 1;  // must be ignored under the force
   auto engine = make_engine(opts);
   const auto batch = mixed_requests(120);
   expect_matches_sequential(batch, engine->serve(batch), "force-seq");
@@ -207,26 +215,6 @@ TEST_F(ServeDispatchTest, ForceSeqNeverTouchesThePipelines) {
   EXPECT_EQ(m.dp_groups, 0u);
   EXPECT_GT(m.seq_groups, 0u);
   EXPECT_EQ(m.prims.total_invocations(), 0u);
-}
-
-TEST_F(ServeDispatchTest, StaticModeHonorsTheThreshold) {
-  for (const std::size_t threshold : {std::size_t{1}, std::size_t{1000}}) {
-    EngineOptions opts;
-    opts.shards = 1;
-    opts.dispatch = DispatchMode::kStatic;
-    opts.min_dp_batch = threshold;
-    auto engine = make_engine(opts);
-    const auto batch = mixed_requests(90);
-    expect_matches_sequential(batch, engine->serve(batch), "static");
-    const ServeMetrics m = engine->metrics();
-    if (threshold == 1) {
-      EXPECT_EQ(m.seq_groups, 0u) << "threshold " << threshold;
-      EXPECT_GT(m.dp_groups, 0u);
-    } else {
-      EXPECT_EQ(m.dp_groups, 0u) << "threshold " << threshold;
-      EXPECT_GT(m.seq_groups, 0u);
-    }
-  }
 }
 
 TEST_F(ServeDispatchTest, WarmedCoefficientsSteerWindowGroups) {
@@ -243,8 +231,7 @@ TEST_F(ServeDispatchTest, WarmedCoefficientsSteerWindowGroups) {
     }
     return b;
   }();
-  const auto g =
-      gshape(RequestKind::kWindow, IndexKind::kQuadTree, 64, 0);
+  const auto g = gshape(RequestKind::kWindow, IndexKind::kQuadTree, 64);
 
   for (const bool seq_wins : {true, false}) {
     auto engine = make_engine(model_options());
@@ -264,60 +251,46 @@ TEST_F(ServeDispatchTest, WarmedCoefficientsSteerWindowGroups) {
   }
 }
 
-TEST_F(ServeDispatchTest, HybridSplitPeelsTheSeqWinningKBucket) {
-  // 40 small-k and 40 large-k k-nearest requests in one shard group.
-  // Warmed coefficients make sequential win the small-k bucket by far more
-  // than the hybrid margin and dp win the large-k bucket, so the group
-  // must split: one dp sub-group, one sequential sub-group, counted as a
-  // hybrid -- with answers still byte-identical to the oracle.
-  std::vector<Request> batch = knn_requests(40, 2);
-  const auto large = knn_requests(40, 32);
-  batch.insert(batch.end(), large.begin(), large.end());
+TEST_F(ServeDispatchTest, NearestGroupsServeSequentially) {
+  // k-nearest has no data-parallel kernel in the serving table: whatever
+  // the force, the warmed coefficients or the bootstrap prior say, its
+  // groups sweep sequentially, never touch a primitive, and never train
+  // the model.
+  const auto batch = knn_requests(256);
+  const auto expect_sequential = [&](QueryEngine& engine, const char* label) {
+    expect_matches_sequential(batch, engine.serve(batch), label);
+    const ServeMetrics m = engine.metrics();
+    EXPECT_EQ(m.dp_groups, 0u) << label;
+    EXPECT_EQ(m.seq_groups, 2u) << label << ": one group per index";
+    EXPECT_EQ(m.prims.total_invocations(), 0u) << label;
+  };
 
-  auto engine = make_engine(model_options());
-  dpv::CostModelSnapshot snap;
-  const auto small_g =
-      gshape(RequestKind::kNearest, IndexKind::kQuadTree, 40, 2);
-  const auto large_g =
-      gshape(RequestKind::kNearest, IndexKind::kQuadTree, 40, 32);
-  teach(snap, small_g, dpv::CostPath::kSeq, 1.0);
-  teach(snap, small_g, dpv::CostPath::kDp, 100.0);
-  teach(snap, large_g, dpv::CostPath::kSeq, 100.0);
-  teach(snap, large_g, dpv::CostPath::kDp, 1.0);
-  engine->warm_cost_model(snap);
-
-  expect_matches_sequential(batch, engine->serve(batch), "hybrid");
-  const ServeMetrics m = engine->metrics();
-  EXPECT_EQ(m.hybrid_groups, 1u);
-  EXPECT_EQ(m.dp_groups, 1u);
-  EXPECT_EQ(m.seq_groups, 1u);
-}
-
-TEST_F(ServeDispatchTest, HybridMarginKeepsMarginalBucketsInTheDpGroup) {
-  // Same split, but the small-k bucket's measured sequential win (5%) is
-  // inside the 10% hybrid margin: peeling is not worth shrinking the dp
-  // group, so the whole group must run as one dp shot.
-  std::vector<Request> batch = knn_requests(40, 2);
-  const auto large = knn_requests(40, 32);
-  batch.insert(batch.end(), large.begin(), large.end());
-
-  auto engine = make_engine(model_options());
-  dpv::CostModelSnapshot snap;
-  const auto small_g =
-      gshape(RequestKind::kNearest, IndexKind::kQuadTree, 40, 2);
-  const auto large_g =
-      gshape(RequestKind::kNearest, IndexKind::kQuadTree, 40, 32);
-  teach(snap, small_g, dpv::CostPath::kSeq, 0.95);
-  teach(snap, small_g, dpv::CostPath::kDp, 1.0);
-  teach(snap, large_g, dpv::CostPath::kSeq, 100.0);
-  teach(snap, large_g, dpv::CostPath::kDp, 1.0);
-  engine->warm_cost_model(snap);
-
-  expect_matches_sequential(batch, engine->serve(batch), "margin");
-  const ServeMetrics m = engine->metrics();
-  EXPECT_EQ(m.hybrid_groups, 0u);
-  EXPECT_EQ(m.seq_groups, 0u);
-  EXPECT_EQ(m.dp_groups, 1u);
+  {
+    const test::DispatchForceScope force(kForceDp);
+    auto engine = make_engine(model_options());
+    expect_sequential(*engine, "forced dp");
+    EXPECT_TRUE(engine->cost_model_snapshot().empty());
+  }
+  {
+    auto engine = make_engine(model_options());
+    dpv::CostModelSnapshot snap;
+    for (const IndexKind index : {IndexKind::kQuadTree, IndexKind::kRTree}) {
+      const auto g = gshape(RequestKind::kNearest, index, batch.size() / 2);
+      teach(snap, g, dpv::CostPath::kSeq, 100.0);
+      teach(snap, g, dpv::CostPath::kDp, 1.0);
+    }
+    engine->warm_cost_model(snap);
+    expect_sequential(*engine, "warmed dp 100x faster");
+    EXPECT_EQ(engine->cost_model_snapshot().entries.size(),
+              snap.entries.size());
+  }
+  {
+    EngineOptions opts = model_options();
+    opts.min_dp_batch = 1;
+    auto engine = make_engine(opts);
+    expect_sequential(*engine, "min_dp_batch 1");
+    EXPECT_TRUE(engine->cost_model_snapshot().empty());
+  }
 }
 
 TEST_F(ServeDispatchTest, ModelConvergesOnTheEmpiricallyFasterPath) {
@@ -342,7 +315,7 @@ TEST_F(ServeDispatchTest, ModelConvergesOnTheEmpiricallyFasterPath) {
   for (int i = 0; i < 24; ++i) engine->serve(batch);
 
   const dpv::GroupShape g =
-      gshape(RequestKind::kWindow, IndexKind::kQuadTree, batch.size(), 0);
+      gshape(RequestKind::kWindow, IndexKind::kQuadTree, batch.size());
   dpv::CostModel probe(opts.cost_model);
   probe.warm(engine->cost_model_snapshot());
   const double seq_us = probe.estimate_us(g, dpv::CostPath::kSeq);
@@ -360,24 +333,22 @@ TEST_F(ServeDispatchTest, ModelConvergesOnTheEmpiricallyFasterPath) {
   }
 }
 
-TEST_F(ServeDispatchTest, EveryDispatchModeMatchesTheOracleUnderChaos) {
-  // dp / seq / hybrid / static must return byte-identical answers even
-  // while a chaos schedule aborts pipelines mid-flight.  The model never
-  // observes under an injector, so its decisions stay prior-driven and
-  // deterministic here.
+TEST_F(ServeDispatchTest, EveryDispatchPathMatchesTheOracleUnderChaos) {
+  // The model, forced dp and forced seq must return byte-identical answers
+  // even while a chaos schedule aborts pipelines mid-flight.  The model
+  // never observes under an injector, so its decisions stay prior-driven
+  // and deterministic here.
   dpv::FaultSchedule schedule;
   schedule.seed = test::chaos_seed(77);
   schedule.primitive_fail_rate = 0.3;
   const auto batch = mixed_requests(160);
-  for (const DispatchMode mode :
-       {DispatchMode::kModel, DispatchMode::kStatic, DispatchMode::kForceDp,
-        DispatchMode::kForceSeq}) {
+  for (const int path : {test::kUnforced, kForceDp, kForceSeq}) {
+    const test::DispatchForceScope force(path);
     dpv::FaultInjector inj(schedule);
     EngineOptions opts;
     opts.shards = 4;
     opts.threads = 4;
     opts.min_dp_batch = 4;
-    opts.dispatch = mode;
     opts.backoff_base = std::chrono::microseconds(5);
     opts.fault_injector = &inj;
     auto engine = make_engine(opts);
@@ -489,7 +460,7 @@ TEST_F(ServeDispatchTest, AggregateGroupsConvergeOnTheirOwnFamily) {
   for (int i = 0; i < 24; ++i) engine->serve(batch);
 
   const dpv::GroupShape g =
-      gshape(RequestKind::kAggregate, IndexKind::kQuadTree, batch.size(), 0);
+      gshape(RequestKind::kAggregate, IndexKind::kQuadTree, batch.size());
   dpv::CostModel probe(opts.cost_model);
   probe.warm(engine->cost_model_snapshot());
   const double seq_us = probe.estimate_us(g, dpv::CostPath::kSeq);

@@ -137,9 +137,6 @@ TEST_F(QueryEngineTest, EmptyBatch) {
 }
 
 TEST_F(QueryEngineTest, MixedBatchMatchesSequential) {
-  // dp_groups > 0 below relies on the model's prior, not a process-wide
-  // DPS_DISPATCH_FORCE.
-  const test::DispatchForceScope unforced(test::kUnforced);
   EngineOptions opts;
   opts.shards = 4;
   opts.threads = 4;
@@ -301,7 +298,6 @@ TEST_F(QueryEngineTest, CancelAllThenReset) {
 TEST_F(QueryEngineTest, TinyBatchDegradesToSequential) {
   EngineOptions opts;
   opts.shards = 1;
-  opts.dispatch = DispatchMode::kStatic;
   opts.min_dp_batch = 1000;  // force sequential traversal
   auto engine = make_engine(opts);
   const auto batch = mixed_requests(40);
@@ -316,7 +312,6 @@ TEST_F(QueryEngineTest, TinyBatchDegradesToSequential) {
 TEST_F(QueryEngineTest, DataParallelPathChargesTheSessionLedger) {
   EngineOptions opts;
   opts.shards = 2;
-  opts.dispatch = DispatchMode::kStatic;
   opts.min_dp_batch = 1;
   auto engine = make_engine(opts);
   engine->serve(mixed_requests(120));
@@ -348,7 +343,9 @@ TEST_F(QueryEngineTest, ConcurrentServeCallersMatchSequential) {
     opts.shards = cfg.shards;
     opts.threads = cfg.threads;
     opts.min_dp_batch = 4;
-    if (cfg.one_request_batches) opts.dispatch = DispatchMode::kForceDp;
+    const test::DispatchForceScope force(
+        cfg.one_request_batches ? static_cast<int>(dpv::CostPath::kDp)
+                                : test::kUnforced);
     auto engine = make_engine(opts);
     constexpr int kCallers = 4;
     std::vector<std::vector<Request>> batches;

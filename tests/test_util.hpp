@@ -70,10 +70,8 @@ std::uint64_t chaos_seed(std::uint64_t base);
 inline constexpr int kUnforced = -1;
 
 /// Pins the process-wide dispatch force (dpv::CostModel::force) for one
-/// scope -- kUnforced clears it -- and restores the previous setting,
-/// DPS_DISPATCH_FORCE included, on exit.  A test of the model's own
-/// decisions holds an unforced scope: an environment-wide force would
-/// override exactly what it checks.
+/// scope -- kUnforced clears it -- and restores the previous setting on
+/// exit.
 class DispatchForceScope {
  public:
   explicit DispatchForceScope(int path)
