@@ -1,8 +1,9 @@
-// Oracular dispatch at the engine level: the force override, sequential
-// k-nearest, warmed-coefficient steering, model convergence, chaos-mode
-// exactness, and cluster ledger sharing.  Every path must answer
-// byte-identically to the sequential oracle -- dispatch picks *when* work
-// runs data-parallel, never *what* the answer is.
+// Oracular dispatch at the engine level: the force override, the untrained
+// model's min_dp_batch prior, sequential k-nearest, warmed-coefficient
+// steering, model convergence, chaos-mode exactness, and cluster ledger
+// sharing.  Every path must answer byte-identically to the sequential
+// oracle -- dispatch picks *when* work runs data-parallel, never *what*
+// the answer is.
 
 #include <gtest/gtest.h>
 
@@ -215,6 +216,45 @@ TEST_F(ServeDispatchTest, ForceSeqNeverTouchesThePipelines) {
   EXPECT_EQ(m.dp_groups, 0u);
   EXPECT_GT(m.seq_groups, 0u);
   EXPECT_EQ(m.prims.total_invocations(), 0u);
+}
+
+TEST_F(ServeDispatchTest, StaticModeHonorsTheThreshold) {
+  // An untrained model has no measurements, so a fresh engine's first
+  // serve is decided by the static min_dp_batch prior alone.
+  for (const std::size_t threshold : {std::size_t{1}, std::size_t{1000}}) {
+    EngineOptions opts;
+    opts.shards = 1;
+    opts.min_dp_batch = threshold;
+    auto engine = make_engine(opts);
+    const auto batch = dp_kernel_requests(90);
+    expect_matches_sequential(batch, engine->serve(batch), "static");
+    const ServeMetrics m = engine->metrics();
+    if (threshold == 1) {
+      EXPECT_EQ(m.seq_groups, 0u) << "threshold " << threshold;
+      EXPECT_GT(m.dp_groups, 0u);
+    } else {
+      EXPECT_EQ(m.dp_groups, 0u) << "threshold " << threshold;
+      EXPECT_GT(m.seq_groups, 0u);
+    }
+  }
+}
+
+TEST_F(ServeDispatchTest, MixedBatchSplitsNearestFromDpKernelGroups) {
+  // One batch holding every kind: under a forced dp path the window and
+  // point groups take their pipelines while the k-nearest groups (one per
+  // tree index) sweep sequentially, and no group is split.
+  const test::DispatchForceScope force(kForceDp);
+  EngineOptions opts = model_options();
+  opts.min_dp_batch = 1000000;  // must be ignored under the force
+  auto engine = make_engine(opts);
+  const auto batch = mixed_requests(120);
+  expect_matches_sequential(batch, engine->serve(batch), "mixed");
+  const ServeMetrics m = engine->metrics();
+  EXPECT_EQ(m.dp_groups, 6u) << "window and point on all three indexes";
+  EXPECT_EQ(m.seq_groups, 2u) << "k-nearest on the quadtree and the R-tree";
+  EXPECT_EQ(m.hybrid_groups, 0u);
+  EXPECT_EQ(m.seq_fallbacks, 0u);
+  EXPECT_GT(m.prims.total_invocations(), 0u);
 }
 
 TEST_F(ServeDispatchTest, WarmedCoefficientsSteerWindowGroups) {
