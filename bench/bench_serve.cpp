@@ -470,7 +470,6 @@ int main(int argc, char** argv) {
   cluster_mo.world = kWorld;
   cluster_mo.quad = po;
   cluster_mo.rtree = ro;
-  cluster_mo.build_linear = false;  // the workload never asks for it
   // S4 hygiene: the earlier flat shard sweep came from oversubscription --
   // N replicas x 2 worker lanes each on a box with
   // hardware_concurrency() cores means every added shard just time-sliced

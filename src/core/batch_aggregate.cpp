@@ -1,7 +1,6 @@
 #include "core/batch_aggregate.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/geom_tiles.hpp"
 #include "geom/predicates.hpp"
@@ -30,7 +29,7 @@ std::vector<geom::Segment> distinct_lines(
   return lines;
 }
 
-// Clip-kernel fringe pass shared by the three pipelines: clips every
+// Clip-kernel fringe pass shared by the two pipelines: clips every
 // candidate against its window on SoA tiles, then accumulates accepted
 // hits per window in candidate order (each window's sum stays on one
 // worker, so the order is schedule-independent).  Returns true on abort.
@@ -108,70 +107,6 @@ void group_to_csr(const std::vector<std::uint32_t>& assign,
   }
 }
 
-// Stored-leaf key interval of a block's subtree in a sorted leaf array.
-std::pair<std::uint32_t, std::uint32_t> leaf_interval(
-    const std::vector<LinearQuadTree::Leaf>& leaves, std::uint32_t lo,
-    std::uint32_t hi, const geom::Block& block) {
-  const std::uint64_t base = block.path_key();
-  const std::uint64_t range = std::uint64_t{1}
-                              << (2 * (geom::kMaxBlockDepth - block.depth));
-  const auto key_less = [](const LinearQuadTree::Leaf& l, std::uint64_t k) {
-    return l.key < k;
-  };
-  const auto b = std::lower_bound(leaves.begin() + lo, leaves.begin() + hi,
-                                  base, key_less);
-  const auto e = std::lower_bound(b, leaves.begin() + hi, base + range,
-                                  key_less);
-  return {static_cast<std::uint32_t>(b - leaves.begin()),
-          static_cast<std::uint32_t>(e - leaves.begin())};
-}
-
-struct LqtFrame {
-  geom::Block block;
-  std::uint32_t lo, hi;
-};
-
-// Per-window LQT descent shared by the batch pipeline and the sequential
-// baseline: covered stored-leaf runs merge their per-leaf sums in leaf
-// order; a partially-covered stored leaf emits its local CSR range through
-// `emit(local_index)`.
-template <typename Emit>
-void lqt_descend(const LinearQuadTree& tree, const LinearAggAnnotations& ann,
-                 const geom::Rect& win, std::vector<LqtFrame>& stack,
-                 WindowAggregate& g, std::size_t& covered, Emit&& emit) {
-  const auto& leaves = tree.leaves();
-  stack.clear();
-  stack.push_back(
-      {geom::Block::root(), 0, static_cast<std::uint32_t>(leaves.size())});
-  while (!stack.empty()) {
-    const LqtFrame f = stack.back();
-    stack.pop_back();
-    if (f.lo == f.hi) continue;
-    const geom::Rect cell = f.block.rect(tree.world());
-    if (!win.intersects(cell)) continue;
-    if (win.contains(cell)) {
-      for (std::uint32_t i = f.lo; i < f.hi; ++i) g.merge(ann.leaf_full[i]);
-      ++covered;
-      continue;
-    }
-    if (leaves[f.lo].block.depth == f.block.depth) {
-      // The frame is a stored leaf itself (the interval is then that
-      // single leaf): kernel-test its local lines.
-      for (std::uint32_t c = ann.leaf_first[f.lo]; c < ann.leaf_first[f.lo + 1];
-           ++c) {
-        emit(c);
-      }
-      continue;
-    }
-    if (f.block.depth >= geom::kMaxBlockDepth) continue;
-    for (int q = 0; q < 4; ++q) {
-      const geom::Block cb = f.block.child(static_cast<geom::Quadrant>(q));
-      const auto [clo, chi] = leaf_interval(leaves, f.lo, f.hi, cb);
-      if (clo != chi) stack.push_back({cb, clo, chi});
-    }
-  }
-}
-
 }  // namespace
 
 // ---- Annotation builders. ----
@@ -234,73 +169,6 @@ RTreeAggAnnotations build_agg_annotations(const RTree& tree,
     ann.subtree[static_cast<std::size_t>(idx)] = g;
   };
   rec(rec, 0);
-  return ann;
-}
-
-LinearAggAnnotations build_agg_annotations(const LinearQuadTree& tree,
-                                           const AggregateScope& scope) {
-  LinearAggAnnotations ann;
-  ann.scope = scope;
-  const auto& leaves = tree.leaves();
-  const std::vector<geom::Segment> lines = distinct_lines(tree.edges());
-
-  // Classify every distinct line: local to the stored leaf whose half-open
-  // cell holds its reference endpoint (when that leaf's closed cell
-  // contains the whole line), spanning otherwise.
-  std::vector<geom::Segment> local_segs;
-  std::vector<std::uint32_t> local_leaf;
-  for (const geom::Segment& s : lines) {
-    const bool a_first =
-        s.a.x < s.b.x || (s.a.x == s.b.x && s.a.y <= s.b.y);
-    const geom::Point& ref = a_first ? s.a : s.b;
-    geom::Block block = geom::Block::root();
-    std::uint32_t lo = 0;
-    std::uint32_t hi = static_cast<std::uint32_t>(leaves.size());
-    std::int64_t home = -1;
-    while (lo != hi) {
-      if (leaves[lo].block.depth == block.depth) {
-        if (block.contains_vertex(ref, tree.world()) &&
-            block.rect(tree.world()).contains(s.bbox())) {
-          home = lo;
-        }
-        break;
-      }
-      if (block.depth >= geom::kMaxBlockDepth) break;
-      bool found = false;
-      for (int q = 0; q < 4; ++q) {
-        const geom::Block cb = block.child(static_cast<geom::Quadrant>(q));
-        if (!cb.contains_vertex(ref, tree.world())) continue;
-        const auto [clo, chi] = leaf_interval(leaves, lo, hi, cb);
-        block = cb;
-        lo = clo;
-        hi = chi;
-        found = true;
-        break;
-      }
-      if (!found) break;
-    }
-    if (home >= 0) {
-      local_segs.push_back(s);
-      local_leaf.push_back(static_cast<std::uint32_t>(home));
-    } else {
-      ann.spanning.push_back(s);
-    }
-  }
-
-  std::vector<std::uint32_t> items;
-  group_to_csr(local_leaf, leaves.size(), ann.leaf_first, items);
-  ann.locals.resize(local_segs.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ann.locals[i] = local_segs[items[i]];
-  }
-  ann.leaf_full.assign(leaves.size(), WindowAggregate{});
-  for (std::size_t l = 0; l < leaves.size(); ++l) {
-    WindowAggregate g;
-    for (std::uint32_t c = ann.leaf_first[l]; c < ann.leaf_first[l + 1]; ++c) {
-      g.merge(full_contribution(ann.locals[c], scope));
-    }
-    ann.leaf_full[l] = g;
-  }
   return ann;
 }
 
@@ -418,50 +286,6 @@ BatchAggregateResult batch_window_aggregate(dpv::Context& ctx,
   return out;
 }
 
-BatchAggregateResult batch_window_aggregate(dpv::Context& ctx,
-                                            const LinearQuadTree& tree,
-                                            const LinearAggAnnotations& ann,
-                                            const std::vector<geom::Rect>& windows,
-                                            const BatchControl& control) {
-  BatchAggregateResult out;
-  out.results.assign(windows.size(), WindowAggregate{});
-  if (windows.empty()) return out;
-  auto round = ctx.scoped_round();
-
-  // Candidates index a virtual concatenation [spanning | locals]: the
-  // spanning side has no home leaf and is tested for every window.
-  const std::uint32_t span = static_cast<std::uint32_t>(ann.spanning.size());
-  std::vector<std::uint32_t> cand_win;
-  std::vector<std::uint32_t> cand_line;
-  std::vector<std::uint32_t> win_first(windows.size() + 1, 0);
-  std::vector<LqtFrame> stack;
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    if (w % kControlStride == 0 && batch_aborting(ctx, control)) {
-      out.aborted = true;
-      return out;
-    }
-    for (std::uint32_t s = 0; s < span; ++s) {
-      cand_win.push_back(static_cast<std::uint32_t>(w));
-      cand_line.push_back(s);
-    }
-    lqt_descend(tree, ann, windows[w], stack, out.results[w], out.covered,
-                [&](std::uint32_t local) {
-                  cand_win.push_back(static_cast<std::uint32_t>(w));
-                  cand_line.push_back(span + local);
-                });
-    win_first[w + 1] = static_cast<std::uint32_t>(cand_line.size());
-  }
-  out.candidates = cand_line.size();
-  out.aborted = finish_fringe(
-      ctx, control, windows, cand_win, win_first,
-      [&](std::size_t i) -> const geom::Segment& {
-        const std::uint32_t c = cand_line[i];
-        return c < span ? ann.spanning[c] : ann.locals[c - span];
-      },
-      ann.scope, out.results);
-  return out;
-}
-
 // ---- Host sequential baselines. ----
 //
 // Same two-phase order as the pipelines (covered merges during the
@@ -552,27 +376,6 @@ WindowAggregate window_aggregate_seq(const RTree& tree,
       window, cand.size(),
       [&](std::size_t i) -> const geom::Segment& {
         return tree.entries()[cand[i]];
-      },
-      ann.scope, g);
-  return g;
-}
-
-WindowAggregate window_aggregate_seq(const LinearQuadTree& tree,
-                                     const LinearAggAnnotations& ann,
-                                     const geom::Rect& window) {
-  WindowAggregate g;
-  const std::uint32_t span = static_cast<std::uint32_t>(ann.spanning.size());
-  std::vector<std::uint32_t> cand(span);
-  for (std::uint32_t s = 0; s < span; ++s) cand[s] = s;
-  std::vector<LqtFrame> stack;
-  std::size_t covered = 0;
-  lqt_descend(tree, ann, window, stack, g, covered,
-              [&](std::uint32_t local) { cand.push_back(span + local); });
-  seq_fringe(
-      window, cand.size(),
-      [&](std::size_t i) -> const geom::Segment& {
-        const std::uint32_t c = cand[i];
-        return c < span ? ann.spanning[c] : ann.locals[c - span];
       },
       ann.scope, g);
   return g;

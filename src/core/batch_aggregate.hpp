@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "core/batch_query.hpp"  // BatchControl / batch_aborting
-#include "core/linear_quadtree.hpp"
 #include "core/quadtree.hpp"
 #include "core/rtree.hpp"
 #include "dpv/dpv.hpp"
@@ -175,23 +174,6 @@ struct RTreeAggAnnotations {
 RTreeAggAnnotations build_agg_annotations(const RTree& tree,
                                           const AggregateScope& scope = {});
 
-/// Linear-quadtree annotations: every distinct line is either *local* to
-/// the stored leaf whose half-open cell holds its reference endpoint (when
-/// the leaf's closed cell contains the whole line) or *spanning*.  Local
-/// lines live in a per-leaf CSR with per-leaf full sums; spanning lines
-/// are kernel-tested for every window (there are no internal nodes to hang
-/// them from).
-struct LinearAggAnnotations {
-  AggregateScope scope;
-  std::vector<geom::Segment> locals;       // grouped per leaf
-  std::vector<std::uint32_t> leaf_first;   // leaves.size()+1 CSR offsets
-  std::vector<WindowAggregate> leaf_full;  // per leaf, scope-filtered
-  std::vector<geom::Segment> spanning;     // sorted by id
-};
-
-LinearAggAnnotations build_agg_annotations(const LinearQuadTree& tree,
-                                           const AggregateScope& scope = {});
-
 // ---- Batch pipelines. ----
 
 struct BatchAggregateResult {
@@ -212,11 +194,6 @@ BatchAggregateResult batch_window_aggregate(
     dpv::Context& ctx, const RTree& tree, const RTreeAggAnnotations& ann,
     const std::vector<geom::Rect>& windows, const BatchControl& control = {});
 
-BatchAggregateResult batch_window_aggregate(
-    dpv::Context& ctx, const LinearQuadTree& tree,
-    const LinearAggAnnotations& ann, const std::vector<geom::Rect>& windows,
-    const BatchControl& control = {});
-
 // ---- Host sequential baselines. ----
 //
 // Same annotated descent, same candidate order, scalar clip predicate
@@ -229,10 +206,6 @@ WindowAggregate window_aggregate_seq(const QuadTree& tree,
 
 WindowAggregate window_aggregate_seq(const RTree& tree,
                                      const RTreeAggAnnotations& ann,
-                                     const geom::Rect& window);
-
-WindowAggregate window_aggregate_seq(const LinearQuadTree& tree,
-                                     const LinearAggAnnotations& ann,
                                      const geom::Rect& window);
 
 }  // namespace dps::core

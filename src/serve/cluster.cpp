@@ -23,19 +23,22 @@ double us_since(Clock::time_point t) {
 /// estimate (see Cluster::run_round).
 constexpr double kSpanOutlierFactor = 2.0;
 
+/// Budget slack reserved ahead of a request's deadline: a subrequest is
+/// abandoned this early so the sequential oracle settle of the missing
+/// shard still fits inside the deadline.
+constexpr std::chrono::microseconds kFallbackReserve{5'000};
+
 /// Absolute wait budget for a subrequest job: the earliest request
-/// deadline minus `reserve` (so the sequential oracle settle still fits
-/// inside the deadline; when the deadline is nearer than the reserve the
-/// full window is used), further capped by `cap` when set.  The epoch
-/// means "no budget: wait for the reply".
+/// deadline minus kFallbackReserve (when the deadline is nearer than the
+/// reserve the full window is used), further capped by `cap` when set.
+/// The epoch means "no budget: wait for the reply".
 Clock::time_point job_budget(const std::vector<Request>& reqs,
                              Clock::time_point now,
-                             std::chrono::microseconds reserve,
                              std::chrono::microseconds cap) {
   Clock::time_point budget{};
   for (const Request& rq : reqs) {
     if (!rq.has_deadline()) continue;
-    Clock::time_point t = *rq.deadline - reserve;
+    Clock::time_point t = *rq.deadline - kFallbackReserve;
     if (t <= now) t = *rq.deadline;
     if (budget.time_since_epoch().count() == 0 || t < budget) budget = t;
   }
@@ -233,12 +236,10 @@ Cluster::Cluster(ClusterOptions opts)
       backups_.push_back(std::make_unique<QueryEngine>(opts_.engine));
     }
   }
-  std::size_t workers = opts_.dispatcher_threads;
-  if (workers == 0) {
-    // Every primary plus every possible hedge can run at once.
-    workers = std::min<std::size_t>(2 * shards_ + 2, 32);
-  }
-  dispatch_pool_ = std::make_unique<dpv::AsyncPool>(workers);
+  // Every primary plus every possible hedge can run at once.  Rounds the
+  // cluster serves inline on the calling thread never touch the pool.
+  dispatch_pool_ = std::make_unique<dpv::AsyncPool>(
+      std::min<std::size_t>(2 * shards_ + 2, 32));
 }
 
 Cluster::~Cluster() {
@@ -256,7 +257,7 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
   const geom::Rect extent{0.0, 0.0, mopts.world, mopts.world};
   core::ShardedSegments sharded =
       core::shard_segments(lines, extent, shards_);
-  auto built = build_slices(sharded, mopts, mopts.build_linear);
+  auto built = build_slices(sharded, mopts);
 
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   // Remount every replica onto the *new* storage first.  Each engine's
@@ -268,11 +269,9 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
     if (ix.empty) {
       eng.mount(static_cast<const core::QuadTree*>(nullptr));
       eng.mount(static_cast<const core::RTree*>(nullptr));
-      eng.mount(static_cast<const core::LinearQuadTree*>(nullptr));
     } else {
       eng.mount(&ix.quad);
       eng.mount(&ix.rtree);
-      eng.mount(mopts.build_linear ? &ix.linear : nullptr);
     }
   };
   for (std::size_t s = 0; s < shards_; ++s) {
@@ -312,7 +311,6 @@ void Cluster::mount(const std::vector<geom::Segment>& lines,
   sharded_ = std::move(sharded);
   indexes_ = std::move(built);  // previous generation destroyed here
   mounted_ = true;
-  linear_mounted_ = mopts.build_linear;
   mount_epoch_.fetch_add(1, std::memory_order_release);
   // Epoch bump under the exclusive lock: every batch admitted after this
   // point sees only the new generation, so zero stale results.
@@ -326,9 +324,8 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
   std::unique_lock<std::shared_mutex> lock(mount_mutex_);
   if (!mounted_) return;  // no plan to shard against
   const geom::Rect extent{0.0, 0.0, mount_opts_.world, mount_opts_.world};
-  // No linear quadtree: joins on the linear index are kRejected.
   auto built = build_slices(core::shard_segments(lines, extent, shards_),
-                            mount_opts_, /*linear=*/false);
+                            mount_opts_);
   const auto probe = [](QueryEngine& eng, const ShardIndexes& ix) {
     eng.mount_probe(ix.empty ? nullptr : &ix.quad,
                     ix.empty ? nullptr : &ix.rtree);
@@ -351,8 +348,8 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
 }
 
 std::unique_ptr<std::vector<Cluster::ShardIndexes>> Cluster::build_slices(
-    const core::ShardedSegments& sharded, const ClusterMountOptions& mo,
-    bool linear) const {
+    const core::ShardedSegments& sharded,
+    const ClusterMountOptions& mo) const {
   dpv::Context ctx;  // serial: deterministic builds
   const auto build = [&](const std::vector<geom::Segment>& slice,
                          ShardIndexes& out) {
@@ -360,7 +357,6 @@ std::unique_ptr<std::vector<Cluster::ShardIndexes>> Cluster::build_slices(
     po.world = mo.world;
     out.quad = core::pmr_build(ctx, slice, po).tree;
     out.rtree = core::rtree_build(ctx, slice, mo.rtree).tree;
-    if (linear) out.linear = core::LinearQuadTree::from(out.quad);
     out.empty = false;
   };
   auto built = std::make_unique<std::vector<ShardIndexes>>(shards_);
@@ -376,11 +372,6 @@ Status Cluster::pre_status(const Request& rq) const noexcept {
     return Status::kDeadlineExpired;
   }
   return Status::kOk;
-}
-
-bool Cluster::supported(const Request& rq) const noexcept {
-  return mounted_ && kind_ops(rq.kind).supports(rq.index) &&
-         (rq.index != IndexKind::kLinearQuadTree || linear_mounted_);
 }
 
 void Cluster::route(Route route, const Request& rq,
@@ -432,7 +423,6 @@ UpdateOptions Cluster::update_options() const {
   uo.build.world = mount_opts_.world;
   uo.rtree = mount_opts_.rtree;
   uo.keep_rtree = true;
-  uo.keep_linear = mount_opts_.build_linear;
   uo.compact_after = opts_.update_compact_after;
   return uo;
 }
@@ -675,8 +665,7 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
     job->injector = rs.injector;
     job->fault_scope = dpv::FaultInjector::scope(batch_seq, round, s);
     job->reqs = std::move(sub[s]);
-    job->budget = job_budget(job->reqs, now0, opts_.fallback_reserve,
-                             opts_.subrequest_timeout);
+    job->budget = job_budget(job->reqs, now0, opts_.subrequest_timeout);
     rs.count(&ReplicaState::subrequests);
     routed += job->reqs.size();
     eligible = eligible && job->injector == nullptr && !job->has_budget();
@@ -876,7 +865,7 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
   std::size_t valid = 0;
   Priority priority = Priority::kLow;
   for (std::size_t i = 0; i < n; ++i) {
-    if (opts_.validate_requests) gate[i] = validate_request(batch[i]);
+    gate[i] = validate_request(batch[i]);
     if (gate[i] == Status::kOk) {
       ++valid;
       priority = std::max(priority, batch[i].priority);
@@ -903,7 +892,7 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
       // resurrecting stale results the invalidation sweep already judged.
       const std::uint64_t cache_version = cache_.version();
 
-      // Pass 1: settle dead/unsupported requests, consult the cache, and
+      // Pass 1: settle dead/unmounted requests, consult the cache, and
       // route the rest into per-shard sub-batches (k-nearest to its
       // nearest-footprint shard only; the widening round follows).
       std::vector<Pending> pending;
@@ -912,7 +901,7 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
       for (std::size_t i = 0; i < n; ++i) {
         const Request& rq = batch[i];
         Status s = gate[i] != Status::kOk ? gate[i] : pre_status(rq);
-        if (s == Status::kOk && !supported(rq)) s = Status::kRejected;
+        if (s == Status::kOk && !mounted_) s = Status::kRejected;
         // Probe-map gate at the cluster door, before the cache: a join with
         // no (or an empty) probe mounted is a caller error, same status the
         // engines would settle shard-locally.

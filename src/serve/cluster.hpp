@@ -112,7 +112,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/linear_quadtree.hpp"
 #include "core/pmr_build.hpp"
 #include "core/quadtree.hpp"
 #include "core/rtree.hpp"
@@ -160,8 +159,6 @@ struct ClusterOptions {
   CacheOptions cache;
   /// Cluster-door admission (disabled by default, like the engine's).
   AdmissionOptions admission;
-  /// Reject malformed request geometry before admission.
-  bool validate_requests = true;
   /// Delta-scoped cache invalidation: apply_update drops only the cached
   /// entries whose canonical footprint intersects the update's dirty
   /// region (union of delta MBRs), so warm entries over untouched areas
@@ -189,16 +186,6 @@ struct ClusterOptions {
   HedgeOptions hedge;
   /// Per-replica circuit breakers (off by default).
   BreakerOptions breaker;
-  /// Dispatcher threads for the async fan-out (0 = 2 * shards + 2,
-  /// capped at 32: every primary plus every possible hedge can run).
-  /// Rounds the cluster serves inline on the calling thread never touch
-  /// them.
-  std::size_t dispatcher_threads = 0;
-  /// Budget slack reserved ahead of a request's deadline: a subrequest is
-  /// abandoned this early so the sequential oracle settle of the missing
-  /// shard still fits inside the deadline.  (When the deadline is nearer than the reserve,
-  /// the full window is used instead.)
-  std::chrono::microseconds fallback_reserve{5'000};
   /// Optional hard per-subrequest wait cap (0 = request deadlines only).
   /// With no deadline, no hedge, and no cap, a stuck replica is waited on
   /// indefinitely -- the pre-failure-domain join semantics.
@@ -212,9 +199,10 @@ struct ClusterMountOptions {
   core::PmrBuildOptions quad;
   /// Per-shard R-tree build.
   core::RtreeBuildOptions rtree;
-  /// Also derive the linear quadtree of every shard (off = linear-quadtree
-  /// requests answer kRejected, as on an engine without one mounted).
-  bool build_linear = true;
+  /// Always false: the cluster builds no linear quadtree.  Not an option;
+  /// its only reader is bench_e2e/src/layers.cpp, and it goes with the
+  /// benchmark change that moves layers.cpp off struct fields.
+  static constexpr bool build_linear = false;
 };
 
 /// Point-in-time health of one primary replica (metrics() snapshot).
@@ -300,8 +288,8 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Shards `lines` over the k-way plan of [0, world]^2, builds every
-  /// non-empty shard's quadtree / R-tree / linear quadtree, and mounts
-  /// them on that shard's replica (and its backup when hedging is on).
+  /// non-empty shard's quadtree and R-tree, and mounts them on that
+  /// shard's replica (and its backup when hedging is on).
   /// Serializes against in-flight serve() calls (exclusive mount lock)
   /// and advances the cache epoch, so no answer computed against the
   /// previous map survives the remount.
@@ -386,7 +374,6 @@ class Cluster {
   struct ShardIndexes {
     core::QuadTree quad;
     core::RTree rtree;
-    core::LinearQuadTree linear;
     bool empty = true;
   };
 
@@ -402,18 +389,16 @@ class Cluster {
   /// Long-lived per-replica state: latency ledger, breaker, counters.
   struct ReplicaState;
 
-  /// Builds every non-empty slice of `sharded` (the linear quadtree only
-  /// when `linear`).
+  /// Builds every non-empty slice of `sharded`.
   std::unique_ptr<std::vector<ShardIndexes>> build_slices(
-      const core::ShardedSegments& sharded, const ClusterMountOptions& mo,
-      bool linear) const;
+      const core::ShardedSegments& sharded,
+      const ClusterMountOptions& mo) const;
 
   /// Calls `f` on every engine: primaries, then backups.
   template <class F>
   void each_engine(F f) const;
 
   Status pre_status(const Request& rq) const noexcept;
-  bool supported(const Request& rq) const noexcept;  // under mount lock
 
   /// UpdateOptions derived from the mounted build configuration.
   UpdateOptions update_options() const;
@@ -476,7 +461,6 @@ class Cluster {
   core::ShardedSegments sharded_;
   std::unique_ptr<std::vector<ShardIndexes>> indexes_;
   bool mounted_ = false;
-  bool linear_mounted_ = false;
   // Probe-map state (join serving); written under the exclusive mount
   // lock, read under the shared one, like the base mount state above.
   std::unique_ptr<std::vector<ShardIndexes>> probe_indexes_;

@@ -61,8 +61,7 @@ const Ann& annotations(const LazySlot<Ann>& slot, const IndexGen& gen,
 
 bool IndexGen::has(IndexKind index) const noexcept {
   if (index == IndexKind::kQuadTree) return quad != nullptr;
-  return index == IndexKind::kRTree ? rtree.ready() != nullptr || rtree_stale
-                                    : linear.ready() != nullptr || linear_stale;
+  return rtree.ready() != nullptr || rtree_stale;
 }
 
 const core::RTree* GenView::rtree() const {
@@ -75,25 +74,12 @@ const core::RTree* GenView::rtree() const {
   });
 }
 
-const core::LinearQuadTree* GenView::linear() const {
-  if (!gen.linear_stale) return gen.linear.ready();
-  return &gen.linear.get(gen.lazy_mutex, engine.lazy_linear_builds_, [this] {
-    assert(gen.quad != nullptr && "stale linear quadtree requires the quad");
-    return core::LinearQuadTree::from(*gen.quad);
-  });
-}
-
 const core::QuadAggAnnotations& GenView::agg(const core::QuadTree& t) const {
   return annotations(gen.quad_agg, gen, t, engine.agg_scope_,
                      engine.agg_annotation_builds_);
 }
 const core::RTreeAggAnnotations& GenView::agg(const core::RTree& t) const {
   return annotations(gen.rtree_agg, gen, t, engine.agg_scope_,
-                     engine.agg_annotation_builds_);
-}
-const core::LinearAggAnnotations& GenView::agg(
-    const core::LinearQuadTree& t) const {
-  return annotations(gen.linear_agg, gen, t, engine.agg_scope_,
                      engine.agg_annotation_builds_);
 }
 
@@ -123,11 +109,9 @@ QueryEngine::QueryEngine(EngineOptions opts)
   shards_ = opts_.shards == 0 ? pool_->size() : opts_.shards;
   if (shards_ == 0) shards_ = 1;
   shard_template_.set_grain(opts_.grain);
-  if (opts_.scratch_arena) {
-    arenas_.reserve(shards_);
-    for (std::size_t s = 0; s < shards_; ++s) {
-      arenas_.push_back(std::make_unique<ShardArena>());
-    }
+  arenas_.reserve(shards_);
+  for (std::size_t s = 0; s < shards_; ++s) {
+    arenas_.push_back(std::make_unique<ShardArena>());
   }
   if (opts_.fault_injector != nullptr) {
     pool_->set_fault_injector(opts_.fault_injector);
@@ -188,17 +172,6 @@ void QueryEngine::mount(const core::RTree* tree) {
   next->rtree.set(borrow(tree));
   next->rtree_stale = false;  // the explicit mount replaces any lazy rebuild
   next->rtree_agg.set(nullptr);
-  publish_gen(std::move(next));
-}
-
-void QueryEngine::mount(const core::LinearQuadTree* tree) {
-  std::unique_lock<std::shared_mutex> lock(mount_mutex_);
-  assert(debug_in_flight_.load(std::memory_order_acquire) == 0 &&
-         "mount must be serialized against in-flight serve() batches");
-  auto next = snapshot_gen()->clone();
-  next->linear.set(borrow(tree));
-  next->linear_stale = false;
-  next->linear_agg.set(nullptr);
   publish_gen(std::move(next));
 }
 
@@ -344,29 +317,25 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   next->lines = std::move(next_lines);
   next->quad_opts = opts.build;
   next->rtree_opts = opts.rtree;
-  // Sibling indexes have no update path: an updated generation keeps the
-  // base's capabilities as *stale* (lazily rebuilt on first use).  A
-  // generation grown from empty gets whatever UpdateOptions grants.
+  // The R-tree has no update path: an updated generation keeps the base's
+  // capability as *stale* (lazily rebuilt on first use).  A generation
+  // grown from empty gets whatever UpdateOptions grants.
   next->rtree_stale =
       fresh ? opts.keep_rtree : base->has(IndexKind::kRTree);
-  next->linear_stale =
-      fresh ? opts.keep_linear : base->has(IndexKind::kLinearQuadTree);
   next->deltas = fresh || compact ? 0 : base->deltas + batch.size();
   // The probe map is an independent operand of the join; updating the
   // base never detaches it.
   next->probe_quad = base->probe_quad;
   next->probe_rtree = base->probe_rtree;
-  // Warm the stale siblings while the generation is still a private
-  // shadow: the update thread absorbs the rebuild so the first reader
-  // after the swap never blocks on the lazy mutex.
+  // Warm the stale R-tree while the generation is still a private shadow:
+  // the update thread absorbs the rebuild so the first reader after the
+  // swap never blocks on the lazy mutex.
   const GenView view{*next, *this};
   const core::RTree* rtree = view.rtree();
-  const core::LinearQuadTree* linear = view.linear();
   // Same for the aggregate annotations, but only where the base had them:
   // warming follows observed aggregate traffic, it does not anticipate it.
   if (base->quad_agg.ready() != nullptr) view.agg(*next->quad);
   if (base->rtree_agg.ready() != nullptr && rtree) view.agg(*rtree);
-  if (base->linear_agg.ready() != nullptr && linear) view.agg(*linear);
   out.gen = std::move(next);
   return out;
 }
@@ -452,16 +421,10 @@ std::size_t QueryEngine::index_elements(const IndexGen& gen,
   if (index == IndexKind::kQuadTree) {
     return gen.quad != nullptr ? gen.quad->num_qedges() : 0;
   }
-  // A stale sibling not yet materialized: estimate density from what it
+  // A stale R-tree not yet materialized: estimate density from what it
   // will be rebuilt from rather than forcing the rebuild on this path.
-  if (index == IndexKind::kRTree) {
-    if (const core::RTree* r = gen.rtree.ready()) return r->entries().size();
-    return gen.rtree_stale && gen.lines != nullptr ? gen.lines->size() : 0;
-  }
-  if (const core::LinearQuadTree* l = gen.linear.ready()) {
-    return l->edges().size();
-  }
-  return gen.linear_stale && gen.quad != nullptr ? gen.quad->num_qedges() : 0;
+  if (const core::RTree* r = gen.rtree.ready()) return r->entries().size();
+  return gen.rtree_stale && gen.lines != nullptr ? gen.lines->size() : 0;
 }
 
 void QueryEngine::run_group(const IndexGen& gen,
@@ -507,7 +470,7 @@ void QueryEngine::run_group(const IndexGen& gen,
     // recycles the previous serve()'s buffers, so steady-state groups of
     // stable shape allocate nothing.  serve() holds the arena's mutex for
     // the whole shard, so concurrent batches never share it.
-    if (!arenas_.empty()) ctx.set_arena(&arenas_[shard]->arena);
+    ctx.set_arena(&arenas_[shard]->arena);
 
     // Earliest deadline in the group arms the pipeline's control; the
     // engine kill switch is polled through the same hook.
@@ -638,8 +601,8 @@ void QueryEngine::execute_shard(const IndexGen& gen,
     const auto index = static_cast<IndexKind>(g % kNumIndexes);
     const auto tgroup = Clock::now();
 
-    // Unsupported pairs and unmounted indexes settle kRejected, a join
-    // without its probe operand kInvalidArgument.
+    // Unmounted indexes settle kRejected, a join without its probe operand
+    // kInvalidArgument.
     const Status gate_status = support_status(gen, kind, index);
 
     // Settle structurally rejected and already-dead requests up front.
@@ -684,7 +647,7 @@ std::vector<Response> QueryEngine::serve(const std::vector<Request>& batch,
   std::size_t admitted_requests = 0;
   Priority priority = Priority::kLow;
   for (std::size_t i = 0; i < n; ++i) {
-    if (opts_.validate_requests) gate[i] = validate_request(batch[i]);
+    gate[i] = validate_request(batch[i]);
     if (gate[i] == Status::kOk) {
       ++admitted_requests;
       priority = std::max(priority, batch[i].priority);
@@ -725,8 +688,7 @@ std::vector<Response> QueryEngine::serve(const std::vector<Request>& batch,
           // A one-lane batch runs inline on the caller's thread, outside
           // the pool's launch serialization, so concurrent serve() calls
           // can reach the same shard: its arena mutex sequences them.
-          std::unique_lock<std::mutex> arena;
-          if (!arenas_.empty()) arena = std::unique_lock(arenas_[s]->mutex);
+          const std::lock_guard<std::mutex> arena(arenas_[s]->mutex);
           execute_shard(*gen, batch, gate, responses, t0, s, lo, hi, xcancel,
                         scratch[s]);
         }
@@ -784,8 +746,6 @@ ServeMetrics QueryEngine::metrics() const {
     out.prims = session_.snapshot();
   }
   out.lazy_rtree_rebuilds = lazy_rtree_builds_.load(std::memory_order_relaxed);
-  out.lazy_linear_rebuilds =
-      lazy_linear_builds_.load(std::memory_order_relaxed);
   out.agg_annotation_builds =
       agg_annotation_builds_.load(std::memory_order_relaxed);
   out.cost_model = cost_model_.snapshot();
@@ -797,7 +757,6 @@ void QueryEngine::reset_metrics() {
   metrics_ = ServeMetrics{};
   session_.reset_counters();
   lazy_rtree_builds_.store(0, std::memory_order_relaxed);
-  lazy_linear_builds_.store(0, std::memory_order_relaxed);
   agg_annotation_builds_.store(0, std::memory_order_relaxed);
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 // QueryEngine: a concurrent, overload-safe batch-query serving layer over
-// the immutable built indexes (pointer quadtree, R-tree, linear quadtree).
+// the immutable built indexes (PMR quadtree, R-tree).
 //
 // The engine models the traffic shape the ROADMAP aims at -- many
 // independent query batches in flight at once -- on top of the paper's
@@ -13,9 +13,9 @@
 //     Status::kShedded (never a wrong answer); admitted work keeps
 //     bounded latency.  Disabled by default for drop-in compatibility.
 //   * Validation.  Malformed geometry (NaN/inf coordinates, inverted or
-//     zero-area windows, k-nearest with k = 0) is rejected per request
-//     with Status::kInvalidArgument before admission, via the typed
-//     `core::validate_*` boundary checks.
+//     zero-area windows, k-nearest with k = 0) is always rejected per
+//     request with Status::kInvalidArgument before admission, via the
+//     typed `core::validate_*` boundary checks.
 //   * Sharding.  A served batch is split into up to `shards` contiguous
 //     slices.  Each shard is one *worker session*: it runs on its own lane
 //     of the engine's ThreadPool with its own serial `dpv::Context`
@@ -46,10 +46,9 @@
 //     `dpv::CostModel::force` is the one override.
 //   * Scratch arenas.  Each shard owns a persistent `dpv::Arena`; the
 //     batch pipelines open a round scope on it, so a steady-state shard
-//     recycles the previous batch's scratch buffers and allocates nothing
-//     (`EngineOptions::scratch_arena`, on by default).  A per-arena mutex,
-//     held while a batch executes the shard, keeps concurrent serve()
-//     calls off each other's scratch.
+//     recycles the previous batch's scratch buffers and allocates nothing.
+//     A per-arena mutex, held while a batch executes the shard, keeps
+//     concurrent serve() calls off each other's scratch.
 //   * Deadlines / cancellation.  Every request may carry an absolute
 //     deadline, and the engine has a batch-wide kill switch
 //     (`cancel_all`).  Both feed the `core::BatchControl` hook polled by
@@ -61,8 +60,8 @@
 //
 // Thread-safety and index generations: the engine serves from an
 // immutable *index generation* (IndexGen) -- the active quadtree /
-// R-tree / linear-quadtree set -- published through an RCU-style pointer
-// swap.  Every serve() pins the current generation (one shared_ptr copy)
+// R-tree pair -- published through an RCU-style pointer swap.  Every
+// serve() pins the current generation (one shared_ptr copy)
 // before touching an index and reads only that snapshot for the whole
 // batch, so a reader never blocks on a writer and never observes a torn
 // index set.  Two kinds of writers publish generations:
@@ -77,10 +76,9 @@
 //     generation, then published as a pointer swap.  Updated generations
 //     own their indexes (shared_ptr), so publication never waits for
 //     readers: the old generation is freed when its last pinner drops it.
-//     The R-tree and linear quadtree have no update path; an updated
-//     generation marks them stale and rebuilds them lazily on first use
-//     within that generation (recorded in metrics), keeping the serving
-//     matrix complete.  Accumulated deltas past
+//     The R-tree has no update path; an updated generation marks it
+//     stale and rebuilds it lazily on first use within that generation
+//     (recorded in metrics), keeping the serving matrix complete.  Accumulated deltas past
 //     `UpdateOptions::compact_after` trigger a full data-parallel rebuild
 //     of the surviving lines -- byte-identical to the incremental result
 //     by the bucket PMR's history-independence -- which resets the delta
@@ -104,7 +102,6 @@
 
 #include "core/batch_aggregate.hpp"
 #include "core/batch_query.hpp"
-#include "core/linear_quadtree.hpp"
 #include "core/quadtree.hpp"
 #include "core/rtree.hpp"
 #include "dpv/dpv.hpp"
@@ -170,14 +167,6 @@ struct EngineOptions {
   double backoff_jitter = 0.5;
   std::uint64_t retry_seed = 0;
 
-  /// Reject malformed request geometry with kInvalidArgument (on by
-  /// default; turning it off trades safety for a few ns per request).
-  bool validate_requests = true;
-
-  /// Persistent per-shard scratch arenas for the batch pipelines (zero
-  /// steady-state allocations; off only for A/B measurement).
-  bool scratch_arena = true;
-
   /// Borrowed chaos hook; null = no injection.  Must outlive the engine.
   dpv::FaultInjector* fault_injector = nullptr;
 };
@@ -193,22 +182,21 @@ class QueryEngine {
   // until in-flight serve() calls finish, so the caller may destroy the
   // replaced index as soon as mount() returns (debug builds assert no
   // serve() is in flight once the lock is held).  Mounting a quadtree
-  // resets the accumulated update-delta debt; the other two kinds clear
-  // their staleness (an explicit mount replaces the lazy rebuild).  Each
+  // resets the accumulated update-delta debt; mounting an R-tree clears
+  // its staleness (an explicit mount replaces the lazy rebuild).  Each
   // call advances `mount_epoch()`.
   void mount(const core::QuadTree* tree);
   void mount(const core::RTree* tree);
-  void mount(const core::LinearQuadTree* tree);
 
   /// Mounts the *probe* map for kJoin requests: the second operand of the
   /// map-vs-map spatial join (the base map is whatever mount() installed).
   /// Borrowed like any mount, with the same lifetime and serialization
   /// contract; either pointer may be null (a kJoin against a missing or
   /// empty probe settles kInvalidArgument at the serve boundary).  The
-  /// quadtree serves (kJoin, kQuadTree), the R-tree (kJoin, kRTree); the
-  /// linear quadtree has no join pipeline and rejects.  Probe pointers
-  /// survive live updates of the base map (the shadow generation carries
-  /// them), so an updated base keeps joining against the same probe.
+  /// quadtree serves (kJoin, kQuadTree), the R-tree (kJoin, kRTree).  Probe
+  /// pointers survive live updates of the base map (the shadow generation
+  /// carries them), so an updated base keeps joining against the same
+  /// probe.
   void mount_probe(const core::QuadTree* quad, const core::RTree* rtree);
 
   /// Installs the shard-ownership scope every range-aggregate answer is
@@ -323,9 +311,8 @@ class QueryEngine {
     cost_model_.warm(snap);
   }
 
-  /// Sum of the per-shard scratch-arena statistics (all zero when
-  /// `scratch_arena` is off).  Call between batches: the arenas belong to
-  /// in-flight shards while a serve() executes.
+  /// Sum of the per-shard scratch-arena statistics.  Call between batches:
+  /// the arenas belong to in-flight shards while a serve() executes.
   dpv::ArenaStats arena_stats() const noexcept {
     dpv::ArenaStats sum;
     for (const auto& a : arenas_) {
@@ -416,8 +403,8 @@ class QueryEngine {
   std::size_t shards_ = 1;
   std::shared_ptr<dpv::ThreadPool> pool_;
   dpv::Context shard_template_;  // serial; forked per worker session
-  // Persistent per-shard scratch arenas (empty when scratch_arena is off),
-  // each behind the mutex serve() holds while a batch executes its shard.
+  // Persistent per-shard scratch arenas, one per shard, each behind the
+  // mutex serve() holds while a batch executes its shard.
   // unique_ptr: blocks reference their arena by address, so an arena must
   // never move.
   struct ShardArena {
@@ -442,13 +429,12 @@ class QueryEngine {
   std::mutex update_mutex_;
   // Deterministic fault-scope coordinate for update shadow builds.
   std::atomic<std::uint64_t> update_seq_{0};
-  // Lazy sibling rebuilds happen on the (const) read path; counted here
+  // Lazy R-tree rebuilds happen on the (const) read path; counted here
   // and surfaced through metrics().
   mutable std::atomic<std::uint64_t> lazy_rtree_builds_{0};
-  mutable std::atomic<std::uint64_t> lazy_linear_builds_{0};
   // Aggregate-annotation builds (lazy, per generation x index); the reuse
-  // counterpart of the sibling counters above.  All three count in
-  // GenView, the one place lazy state materializes.
+  // counterpart of the R-tree counter above.  Both count in GenView, the
+  // one place lazy state materializes.
   mutable std::atomic<std::uint64_t> agg_annotation_builds_{0};
 
   // Scope every aggregate answer is filtered through (set_aggregate_scope;

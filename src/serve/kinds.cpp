@@ -22,7 +22,6 @@ using Key = ResultCache::Key;
 
 constexpr IndexKind kQ = IndexKind::kQuadTree;
 constexpr IndexKind kR = IndexKind::kRTree;
-constexpr IndexKind kL = IndexKind::kLinearQuadTree;
 
 // ---- Validation. ----
 
@@ -168,10 +167,8 @@ template <IndexKind I>
 const auto& tree(const GenView& g) {
   if constexpr (I == kQ) {
     return *g.gen.quad;
-  } else if constexpr (I == kR) {
-    return *g.rtree();
   } else {
-    return *g.linear();
+    return *g.rtree();
   }
 }
 
@@ -198,11 +195,7 @@ bool scatter(Result&& result, const Live& live, std::vector<Response>& rsps,
 
 template <IndexKind I>
 Status window_seq(const GenView& g, const Request& rq, Response& rsp) {
-  if constexpr (I == kL) {
-    rsp.ids = tree<I>(g).window_query(rq.window);
-  } else {
-    rsp.ids = core::window_query(tree<I>(g), rq.window);
-  }
+  rsp.ids = core::window_query(tree<I>(g), rq.window);
   return Status::kOk;
 }
 template <IndexKind I>
@@ -217,11 +210,7 @@ bool window_dp(dpv::Context& ctx, const GenView& g, const Batch& batch,
 
 template <IndexKind I>
 Status point_seq(const GenView& g, const Request& rq, Response& rsp) {
-  if constexpr (I == kL) {
-    rsp.ids = tree<I>(g).point_query(rq.point);
-  } else {
-    rsp.ids = core::point_query(tree<I>(g), rq.point);
-  }
+  rsp.ids = core::point_query(tree<I>(g), rq.point);
   return Status::kOk;
 }
 template <IndexKind I>
@@ -305,8 +294,8 @@ constexpr std::array<KindOps, kNumKinds> kOps{{
      .route = Route::kWindow,
      .merge = &sorted_union<&Response::ids>,
      .take = &take<&Response::ids>,
-     .run_seq = {&window_seq<kQ>, &window_seq<kR>, &window_seq<kL>},
-     .run_dp = {&window_dp<kQ>, &window_dp<kR>, &window_dp<kL>},
+     .run_seq = {&window_seq<kQ>, &window_seq<kR>},
+     .run_dp = {&window_dp<kQ>, &window_dp<kR>},
      .stage = &StageTimes::window_ms,
      .requests = &ServeMetrics::window_requests},
     {.kind = RequestKind::kPoint,
@@ -316,8 +305,8 @@ constexpr std::array<KindOps, kNumKinds> kOps{{
      .route = Route::kPoint,
      .merge = &sorted_union<&Response::ids>,
      .take = &take<&Response::ids>,
-     .run_seq = {&point_seq<kQ>, &point_seq<kR>, &point_seq<kL>},
-     .run_dp = {&point_dp<kQ>, &point_dp<kR>, &point_dp<kL>},
+     .run_seq = {&point_seq<kQ>, &point_seq<kR>},
+     .run_dp = {&point_dp<kQ>, &point_dp<kR>},
      .stage = &StageTimes::point_ms,
      .requests = &ServeMetrics::point_requests},
     {.kind = RequestKind::kNearest,
@@ -327,8 +316,8 @@ constexpr std::array<KindOps, kNumKinds> kOps{{
      .route = Route::kNearest,
      .merge = &merge_neighbors,
      .take = &take<&Response::neighbors>,
-     .run_seq = {&nearest_seq<kQ>, &nearest_seq<kR>, nullptr},
-     .run_dp = {nullptr, nullptr, nullptr},
+     .run_seq = {&nearest_seq<kQ>, &nearest_seq<kR>},
+     .run_dp = {nullptr, nullptr},
      .stage = &StageTimes::nearest_ms,
      .requests = &ServeMetrics::nearest_requests},
     {.kind = RequestKind::kAggregate,
@@ -338,8 +327,8 @@ constexpr std::array<KindOps, kNumKinds> kOps{{
      .route = Route::kWindow,
      .merge = &merge_aggregates,
      .take = &take<&Response::aggregate>,
-     .run_seq = {&aggregate_seq<kQ>, &aggregate_seq<kR>, &aggregate_seq<kL>},
-     .run_dp = {&aggregate_dp<kQ>, &aggregate_dp<kR>, &aggregate_dp<kL>},
+     .run_seq = {&aggregate_seq<kQ>, &aggregate_seq<kR>},
+     .run_dp = {&aggregate_dp<kQ>, &aggregate_dp<kR>},
      .stage = &StageTimes::aggregate_ms,
      .requests = &ServeMetrics::aggregate_requests},
     {.kind = RequestKind::kJoin,
@@ -349,8 +338,8 @@ constexpr std::array<KindOps, kNumKinds> kOps{{
      .route = Route::kProbeShards,
      .merge = &sorted_union<&Response::pairs>,
      .take = &take<&Response::pairs>,
-     .run_seq = {&join_seq<kQ>, &join_seq<kR>, nullptr},
-     .run_dp = {&join_dp<kQ>, &join_dp<kR>, nullptr},
+     .run_seq = {&join_seq<kQ>, &join_seq<kR>},
+     .run_dp = {&join_dp<kQ>, &join_dp<kR>},
      .stage = &StageTimes::join_ms,
      .requests = &ServeMetrics::join_requests,
      .needs_probe = true,
@@ -365,6 +354,18 @@ constexpr bool table_in_ordinal_order() {
 }
 static_assert(table_in_ordinal_order());
 
+// The serving matrix is full: every (kind, index) pair has a sequential
+// kernel, so only an unmounted index settles a request kRejected.
+constexpr bool every_pair_served() {
+  for (const KindOps& ops : kOps) {
+    for (const SeqFn fn : ops.run_seq) {
+      if (fn == nullptr) return false;
+    }
+  }
+  return true;
+}
+static_assert(every_pair_served());
+
 }  // namespace
 
 const KindOps& kind_ops(RequestKind kind) noexcept {
@@ -378,7 +379,7 @@ Status validate_request(const Request& rq) noexcept {
 Status support_status(const IndexGen& gen, RequestKind kind,
                       IndexKind index) noexcept {
   const KindOps& ops = kind_ops(kind);
-  if (!ops.supports(index) || !gen.has(index)) return Status::kRejected;
+  if (!gen.has(index)) return Status::kRejected;
   if (!ops.needs_probe) return Status::kOk;
   const bool quad = index == kQ;
   const bool mounted = quad ? gen.probe_quad != nullptr

@@ -8,11 +8,12 @@
 // path.  Adding a request kind means writing one descriptor and its
 // kernels.
 //
-// A null sequential kernel marks the (kind, index) pair unsupported: every
-// layer settles such a request kRejected.  A null data-parallel kernel
-// beside a sequential one means the pair is served sequentially (k-nearest:
-// its batch pipeline loses to the best-first queue on every measured
-// workload), and the dispatch cost model never prices it.
+// The serving matrix is full: every (kind, index) pair has a sequential
+// kernel (kinds.cpp asserts it), so a request settles kRejected only when
+// its index is not mounted.  A null data-parallel kernel means the pair is
+// served sequentially (k-nearest: its batch pipeline loses to the
+// best-first queue on every measured workload), and the dispatch cost
+// model never prices it.
 //
 // The kernels read one immutable index generation (IndexGen, what
 // QueryEngine publishes RCU-style) through a GenView, which materializes
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "core/batch_aggregate.hpp"
-#include "core/linear_quadtree.hpp"
 #include "core/pmr_build.hpp"
 #include "core/quadtree.hpp"
 #include "core/rtree.hpp"
@@ -95,15 +95,13 @@ class LazySlot {
 
 /// One immutable index generation.  A mount()ed generation borrows the
 /// caller's structures; an update-produced one owns a rebuilt quadtree and
-/// marks the siblings *stale*: the R-tree / linear quadtree have no update
-/// path, so they are rebuilt lazily on first use within the generation,
-/// from `lines` under the recorded build options.
+/// marks the R-tree *stale*: it has no update path, so it is rebuilt lazily
+/// on first use within the generation, from `lines` under the recorded
+/// build options.
 struct IndexGen {
   std::shared_ptr<const core::QuadTree> quad;
   LazySlot<core::RTree> rtree;
-  LazySlot<core::LinearQuadTree> linear;
   bool rtree_stale = false;  // capability present, lazily materialized
-  bool linear_stale = false;
 
   /// Borrowed probe map for kJoin requests (mount_probe).  Carried through
   /// clones and live updates of the base map: the join's second operand
@@ -112,7 +110,7 @@ struct IndexGen {
   const core::RTree* probe_rtree = nullptr;
 
   /// Surviving lines of an update-produced generation (what the lazy
-  /// sibling rebuilds and the next update's live set read); null for a
+  /// R-tree rebuild and the next update's live set read); null for a
   /// plain mount (recovered from the quadtree's q-edges on demand).
   std::shared_ptr<const std::vector<geom::Segment>> lines;
   core::PmrBuildOptions quad_opts;
@@ -126,7 +124,6 @@ struct IndexGen {
   /// under and is rebuilt when the serving engine's scope differs.
   LazySlot<core::QuadAggAnnotations> quad_agg;
   LazySlot<core::RTreeAggAnnotations> rtree_agg;
-  LazySlot<core::LinearAggAnnotations> linear_agg;
   /// Guards the lazy builds.  A copied generation gets a fresh one.
   struct LazyMutex : std::mutex {
     LazyMutex() = default;
@@ -146,25 +143,22 @@ struct IndexGen {
 
 /// A pinned generation as seen through the engine serving it: index
 /// accessors that materialize the generation's lazy state -- a stale
-/// sibling rebuild, aggregate annotations under the engine's scope -- on
-/// first use and count the build in that engine's metrics.  The sibling
-/// accessors return null when the generation lacks the index.
+/// R-tree rebuild, aggregate annotations under the engine's scope -- on
+/// first use and count the build in that engine's metrics.  rtree()
+/// returns null when the generation lacks the R-tree.
 struct GenView {
   const IndexGen& gen;
   const QueryEngine& engine;
 
   const core::RTree* rtree() const;
-  const core::LinearQuadTree* linear() const;
   const core::QuadAggAnnotations& agg(const core::QuadTree& tree) const;
   const core::RTreeAggAnnotations& agg(const core::RTree& tree) const;
-  const core::LinearAggAnnotations& agg(
-      const core::LinearQuadTree& tree) const;
 };
 
 // ---- Request-kind descriptors. ----
 
 inline constexpr std::size_t kNumKinds = 5;
-inline constexpr std::size_t kNumIndexes = 3;
+inline constexpr std::size_t kNumIndexes = 2;
 
 /// (kind, index) ordinal: the engine's group slot, from which fault scopes
 /// and dispatch cost-model cells derive.
@@ -225,9 +219,6 @@ struct KindOps {
   /// computation and the group-size cost model has nothing to price.
   bool one_per_group = false;
 
-  bool supports(IndexKind index) const noexcept {
-    return run_seq[static_cast<std::size_t>(index)] != nullptr;
-  }
   SeqFn seq(IndexKind index) const noexcept {
     return run_seq[static_cast<std::size_t>(index)];
   }
@@ -244,7 +235,7 @@ const KindOps& kind_ops(RequestKind kind) noexcept;
 Status validate_request(const Request& rq) noexcept;
 
 /// What a (kind, index) request settles as before it runs against `gen`:
-/// kRejected when the pair is unsupported or the index unmounted,
+/// kRejected when the index is unmounted,
 /// kInvalidArgument when a probe-reading kind finds no probe map, kOk
 /// when it can run.
 Status support_status(const IndexGen& gen, RequestKind kind,

@@ -95,7 +95,6 @@ ServeMetrics& ServeMetrics::operator+=(const ServeMetrics& other) {
   update_failures += other.update_failures;
   compactions += other.compactions;
   lazy_rtree_rebuilds += other.lazy_rtree_rebuilds;
-  lazy_linear_rebuilds += other.lazy_linear_rebuilds;
   agg_annotation_builds += other.agg_annotation_builds;
   prims += other.prims;
   stages += other.stages;

@@ -110,9 +110,11 @@ struct ServeMetrics {
   // published a generation; `update_failures` counts calls that published
   // nothing (validation, or a fault-aborted shadow build); `compactions`
   // counts updates that ran the full dp rebuild instead of the
-  // incremental insert/delete pass.  The lazy counters record sibling
-  // indexes (R-tree / linear quadtree, which have no update path) rebuilt
-  // on first use within an updated generation.
+  // incremental insert/delete pass.  `lazy_rtree_rebuilds` records R-tree
+  // rebuilds (it has no update path) on first use within an updated
+  // generation.  `lazy_linear_rebuilds` always reads 0: it counted linear-
+  // quadtree rebuilds, and serving no longer holds a linear quadtree.  The
+  // field stays only because the end-to-end benchmark still reads it.
   std::uint64_t updates = 0;
   std::uint64_t update_inserts = 0;
   std::uint64_t update_deletes = 0;

@@ -32,7 +32,7 @@ enum class RequestKind : std::uint8_t {
   kJoin,       // map-vs-map spatial join against the mounted probe map
 };
 
-enum class IndexKind : std::uint8_t { kQuadTree, kRTree, kLinearQuadTree };
+enum class IndexKind : std::uint8_t { kQuadTree, kRTree };
 
 /// Admission priority.  Under overload the engine sheds the
 /// lowest-priority waiting work first; a batch's priority is the highest
@@ -45,7 +45,7 @@ enum class Status : std::uint8_t {
   kOk = 0,
   kDeadlineExpired,   // request deadline passed before its answer was final
   kCancelled,         // engine-wide cancel fired while the request was live
-  kRejected,          // unsupported (kind, index) combo or index not mounted
+  kRejected,          // index not mounted
   kShedded,           // load-shed by admission control; never executed
   kInvalidArgument,   // malformed geometry (NaN/inf, inverted window, k = 0)
   kPartial,           // opted-in degraded answer: the surviving shards'
@@ -96,7 +96,7 @@ struct Request {
   }
   /// Map-vs-map spatial join of the mounted base map against the mounted
   /// probe map (QueryEngine::mount_probe / Cluster::mount_probe).  Carries
-  /// no geometry payload; unsupported on the linear quadtree.
+  /// no geometry payload.
   static Request join_query(IndexKind idx) {
     return {.kind = RequestKind::kJoin, .index = idx};
   }
@@ -139,14 +139,13 @@ struct UpdateOptions {
   /// history-independent only under a fixed (world, capacity, depth-cap)
   /// rule, which is what makes update-vs-rebuild equivalence hold.
   core::PmrBuildOptions build;
-  /// R-tree build options for the lazy sibling rebuild.
+  /// R-tree build options for the lazy R-tree rebuild.
   core::RtreeBuildOptions rtree;
   /// Serving-matrix capability for a generation grown from an empty
-  /// engine: keep answering R-tree / linear-quadtree requests (via the
-  /// lazy per-epoch rebuild).  Generations evolved from a mounted engine
-  /// always inherit the capabilities it already served.
+  /// engine: keep answering R-tree requests (via the lazy per-epoch
+  /// rebuild).  Generations evolved from a mounted engine always inherit
+  /// the capabilities it already served.
   bool keep_rtree = true;
-  bool keep_linear = true;
   /// Compaction trigger: once the deltas accumulated since the last full
   /// build exceed this, the update runs a from-scratch data-parallel
   /// rebuild of the surviving lines instead of an incremental

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/batch_aggregate.hpp"
-#include "core/linear_quadtree.hpp"
 #include "core/pmr_build.hpp"
 #include "core/query.hpp"
 #include "core/rtree_build.hpp"
@@ -116,7 +115,6 @@ class BatchAggregateTest : public ::testing::TestWithParam<AggCase> {
     ro.m = 2;
     ro.M = 8;
     rtree_ = core::rtree_build(build, lines_, ro).tree;
-    linear_ = core::LinearQuadTree::from(quad_);
   }
 
   dpv::Context make_ctx() const {
@@ -127,7 +125,6 @@ class BatchAggregateTest : public ::testing::TestWithParam<AggCase> {
   std::vector<geom::Segment> lines_;
   core::QuadTree quad_;
   core::RTree rtree_;
-  core::LinearQuadTree linear_;
 };
 
 TEST_P(BatchAggregateTest, MatchesMaterializeThenReduceOnEveryIndex) {
@@ -139,20 +136,15 @@ TEST_P(BatchAggregateTest, MatchesMaterializeThenReduceOnEveryIndex) {
   dpv::Context ctx = make_ctx();
   const auto qa = core::build_agg_annotations(quad_);
   const auto ra = core::build_agg_annotations(rtree_);
-  const auto la = core::build_agg_annotations(linear_);
   const auto rq = core::batch_window_aggregate(ctx, quad_, qa, windows);
   const auto rr = core::batch_window_aggregate(ctx, rtree_, ra, windows);
-  const auto rl = core::batch_window_aggregate(ctx, linear_, la, windows);
   ASSERT_FALSE(rq.aborted);
   ASSERT_FALSE(rr.aborted);
-  ASSERT_FALSE(rl.aborted);
   ASSERT_EQ(rq.results.size(), windows.size());
   ASSERT_EQ(rr.results.size(), windows.size());
-  ASSERT_EQ(rl.results.size(), windows.size());
   for (std::size_t w = 0; w < windows.size(); ++w) {
     expect_close(rq.results[w], want[w], "quad", w);
     expect_close(rr.results[w], want[w], "rtree", w);
-    expect_close(rl.results[w], want[w], "linear", w);
     // The host sequential baseline shares the descent and candidate
     // order: bitwise equality, not just to-rounding.
     EXPECT_EQ(rq.results[w], core::window_aggregate_seq(quad_, qa, windows[w]))
@@ -160,9 +152,6 @@ TEST_P(BatchAggregateTest, MatchesMaterializeThenReduceOnEveryIndex) {
     EXPECT_EQ(rr.results[w],
               core::window_aggregate_seq(rtree_, ra, windows[w]))
         << "rtree seq/dp window " << w;
-    EXPECT_EQ(rl.results[w],
-              core::window_aggregate_seq(linear_, la, windows[w]))
-        << "linear seq/dp window " << w;
   }
 }
 
@@ -223,19 +212,14 @@ TEST(BatchAggregate, ZeroHitWindowIsEmpty) {
   core::PmrBuildOptions po;
   po.world = kWorld;
   const core::QuadTree quad = core::pmr_build(ctx, lines, po).tree;
-  const core::LinearQuadTree lqt = core::LinearQuadTree::from(quad);
   const auto qa = core::build_agg_annotations(quad);
-  const auto la = core::build_agg_annotations(lqt);
   const std::vector<geom::Rect> windows{{700.0, 700.0, 900.0, 900.0}};
-  for (const auto& res :
-       {core::batch_window_aggregate(ctx, quad, qa, windows),
-        core::batch_window_aggregate(ctx, lqt, la, windows)}) {
-    ASSERT_FALSE(res.aborted);
-    EXPECT_EQ(res.results[0].count, 0u);
-    EXPECT_EQ(res.results[0].length, 0.0);
-    EXPECT_TRUE(res.results[0].bbox.is_empty());
-    EXPECT_EQ(res.results[0].centroid().x, 0.0);
-  }
+  const auto res = core::batch_window_aggregate(ctx, quad, qa, windows);
+  ASSERT_FALSE(res.aborted);
+  EXPECT_EQ(res.results[0].count, 0u);
+  EXPECT_EQ(res.results[0].length, 0.0);
+  EXPECT_TRUE(res.results[0].bbox.is_empty());
+  EXPECT_EQ(res.results[0].centroid().x, 0.0);
 }
 
 TEST(BatchAggregate, FiredControlLatchesAborted) {

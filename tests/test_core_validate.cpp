@@ -229,25 +229,5 @@ TEST(ServeBoundary, AllInvalidBatchSkipsAdmissionEntirely) {
   EXPECT_EQ(engine.admission_stats().offered_batches, 0u);
 }
 
-TEST(ServeBoundary, ValidationCanBeTurnedOff) {
-  using namespace dps::serve;
-  auto lines = data::uniform_segments(100, 1024.0, 25.0, 8);
-  dpv::Context ctx;
-  PmrBuildOptions po;
-  po.world = 1024.0;
-  const QuadTree tree = pmr_build(ctx, lines, po).tree;
-  EngineOptions opts;
-  opts.validate_requests = false;
-  QueryEngine engine(opts);
-  engine.mount(&tree);
-  // An inverted window is structurally harmless (intersects nothing); with
-  // validation off it runs and answers kOk-and-empty like the raw query.
-  const auto rsp = engine.serve(
-      {Request::window_query(IndexKind::kQuadTree, {100, 0, 0, 100})});
-  ASSERT_EQ(rsp.size(), 1u);
-  EXPECT_EQ(rsp[0].status, Status::kOk);
-  EXPECT_EQ(rsp[0].ids, window_query(tree, {100, 0, 0, 100}));
-}
-
 }  // namespace
 }  // namespace dps::core

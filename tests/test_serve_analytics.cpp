@@ -111,7 +111,6 @@ class ServeAnalyticsEngineTest : public ::testing::Test {
     ro.M = 8;
     quad_ = core::pmr_build(ctx, base_, po).tree;
     rtree_ = core::rtree_build(ctx, base_, ro).tree;
-    linear_ = core::LinearQuadTree::from(quad_);
     probe_quad_ = core::pmr_build(ctx, probe_, po).tree;
     probe_rtree_ = core::rtree_build(ctx, probe_, ro).tree;
   }
@@ -120,26 +119,22 @@ class ServeAnalyticsEngineTest : public ::testing::Test {
     auto e = std::make_unique<QueryEngine>();
     e->mount(&quad_);
     e->mount(&rtree_);
-    e->mount(&linear_);
     return e;
   }
 
   std::vector<geom::Segment> base_, probe_;
   core::QuadTree quad_, probe_quad_;
   core::RTree rtree_, probe_rtree_;
-  core::LinearQuadTree linear_;
 };
 
 TEST_F(ServeAnalyticsEngineTest, AggregateMatchesTheSeqBaselineBitwise) {
   auto engine = make_engine();
   const auto qa = core::build_agg_annotations(quad_);
   const auto ra = core::build_agg_annotations(rtree_);
-  const auto la = core::build_agg_annotations(linear_);
   std::vector<Request> batch;
   for (const geom::Rect& w : test_windows()) {
     batch.push_back(Request::aggregate_query(IndexKind::kQuadTree, w));
     batch.push_back(Request::aggregate_query(IndexKind::kRTree, w));
-    batch.push_back(Request::aggregate_query(IndexKind::kLinearQuadTree, w));
   }
   const auto responses = engine->serve(batch);
   ASSERT_EQ(responses.size(), batch.size());
@@ -149,15 +144,13 @@ TEST_F(ServeAnalyticsEngineTest, AggregateMatchesTheSeqBaselineBitwise) {
     const core::WindowAggregate want =
         batch[i].index == IndexKind::kQuadTree
             ? core::window_aggregate_seq(quad_, qa, w)
-            : batch[i].index == IndexKind::kRTree
-                  ? core::window_aggregate_seq(rtree_, ra, w)
-                  : core::window_aggregate_seq(linear_, la, w);
+            : core::window_aggregate_seq(rtree_, ra, w);
     EXPECT_EQ(responses[i].aggregate, want) << "request " << i;
     expect_close(responses[i].aggregate, oracle(base_, w), "engine", i);
   }
   const ServeMetrics m = engine->metrics();
   EXPECT_EQ(m.aggregate_requests, batch.size());
-  EXPECT_GE(m.agg_annotation_builds, 3u);  // one per index, built lazily
+  EXPECT_GE(m.agg_annotation_builds, 2u);  // one per index, built lazily
 }
 
 TEST_F(ServeAnalyticsEngineTest, AggregateValidationRejectsBadWindows) {
@@ -181,18 +174,15 @@ TEST_F(ServeAnalyticsEngineTest, JoinMatchesTheHostJoins) {
   const std::vector<Request> batch{
       Request::join_query(IndexKind::kQuadTree),
       Request::join_query(IndexKind::kRTree),
-      Request::join_query(IndexKind::kLinearQuadTree),
   };
   const auto responses = engine->serve(batch);
-  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_EQ(responses.size(), 2u);
   ASSERT_EQ(responses[0].status, Status::kOk);
   EXPECT_EQ(responses[0].pairs, core::spatial_join(quad_, probe_quad_));
   ASSERT_EQ(responses[1].status, Status::kOk);
   EXPECT_EQ(responses[1].pairs, core::rtree_join(rtree_, probe_rtree_));
-  // The linear quadtree serves no joins.
-  EXPECT_EQ(responses[2].status, Status::kRejected);
   const ServeMetrics m = engine->metrics();
-  EXPECT_EQ(m.join_requests, 3u);
+  EXPECT_EQ(m.join_requests, 2u);
 }
 
 TEST_F(ServeAnalyticsEngineTest, JoinWithoutProbeIsInvalidArgument) {
@@ -254,7 +244,6 @@ TEST_P(ServeAnalyticsClusterTest, AggregateAndJoinMatchTheSingleEngine) {
   for (const geom::Rect& w : test_windows()) {
     batch.push_back(Request::aggregate_query(IndexKind::kQuadTree, w));
     batch.push_back(Request::aggregate_query(IndexKind::kRTree, w));
-    batch.push_back(Request::aggregate_query(IndexKind::kLinearQuadTree, w));
   }
   batch.push_back(Request::join_query(IndexKind::kQuadTree));
   batch.push_back(Request::join_query(IndexKind::kRTree));
@@ -399,11 +388,12 @@ TEST(ServeAnalyticsCluster, LiveUpdatesKeepAggregatesAndJoinsExact) {
 
 // ---- Support matrix: every layer settles every (kind, index) alike. ----
 
-// All 15 (kind, index) pairs, with and without a probe map: the engine's
-// batch path, its sequential oracle, the cluster door at 1 and 4 shards,
-// and the kind table agree on kOk / kRejected / kInvalidArgument.  The
-// linear quadtree answers neither k-nearest nor joins; a join without a
-// probe map is a caller error.
+// All 10 (kind, index) pairs, with and without a probe map: the engine's
+// batch path, its sequential oracle, and the cluster door at 1 and 4
+// shards agree on kOk / kInvalidArgument.  Every pair is served; a join
+// without a probe map is a caller error.  An engine with no R-tree mounted
+// settles every R-tree request kRejected on both its paths, while its
+// quadtree requests answer as on the full engine.
 TEST_F(ServeAnalyticsEngineTest, SupportMatrixAgreesAcrossLayers) {
   const geom::Rect w{100.0, 100.0, 260.0, 220.0};
   const geom::Point p = base_[7].mid();
@@ -419,7 +409,12 @@ TEST_F(ServeAnalyticsEngineTest, SupportMatrixAgreesAcrossLayers) {
   };
   for (const bool with_probe : {true, false}) {
     auto engine = make_engine();
-    if (with_probe) engine->mount_probe(&probe_quad_, &probe_rtree_);
+    QueryEngine quad_only;
+    quad_only.mount(&quad_);
+    if (with_probe) {
+      engine->mount_probe(&probe_quad_, &probe_rtree_);
+      quad_only.mount_probe(&probe_quad_, &probe_rtree_);
+    }
     std::vector<std::unique_ptr<Cluster>> clusters;
     for (const std::size_t shards : {1u, 4u}) {
       ClusterOptions co;
@@ -434,21 +429,22 @@ TEST_F(ServeAnalyticsEngineTest, SupportMatrixAgreesAcrossLayers) {
         const auto idx = static_cast<IndexKind>(i);
         SCOPED_TRACE(::testing::Message() << "kind " << k << ", index " << i
                                           << ", probe " << with_probe);
-        const bool supported =
-            idx != IndexKind::kLinearQuadTree ||
-            (kind != RequestKind::kNearest && kind != RequestKind::kJoin);
-        const Status want = !supported ? Status::kRejected
-                            : kind == RequestKind::kJoin && !with_probe
+        const Status want = kind == RequestKind::kJoin && !with_probe
                                 ? Status::kInvalidArgument
                                 : Status::kOk;
-        const KindOps& ops = kind_ops(kind);
-        EXPECT_EQ(ops.supports(idx), supported);
-        EXPECT_EQ(ops.needs_probe, kind == RequestKind::kJoin);
+        EXPECT_EQ(kind_ops(kind).needs_probe, kind == RequestKind::kJoin);
 
         const Request rq = request(kind, idx);
         EXPECT_EQ(engine->serve({rq})[0].status, want) << "engine serve";
         Response oracle_rsp;
         EXPECT_EQ(engine->run_oracle(rq, oracle_rsp), want) << "run_oracle";
+        const Status unmounted =
+            idx == IndexKind::kRTree ? Status::kRejected : want;
+        EXPECT_EQ(quad_only.serve({rq})[0].status, unmounted)
+            << "engine serve, no R-tree";
+        Response unmounted_rsp;
+        EXPECT_EQ(quad_only.run_oracle(rq, unmounted_rsp), unmounted)
+            << "run_oracle, no R-tree";
         for (const auto& c : clusters) {
           EXPECT_EQ(c->serve({rq})[0].status, want)
               << "cluster, " << c->shards() << " shards";
@@ -492,7 +488,7 @@ TEST(ServeAnalyticsCache, CanonicalKeysZeroEveryUnusedPayloadField) {
       Request::window_query(IndexKind::kQuadTree, w),
       Request::point_query(IndexKind::kRTree, p),
       Request::nearest_query(IndexKind::kQuadTree, p, 3),
-      Request::aggregate_query(IndexKind::kLinearQuadTree, w),
+      Request::aggregate_query(IndexKind::kRTree, w),
       Request::join_query(IndexKind::kRTree),
   };
   for (const Request& rq : clean) {

@@ -49,7 +49,6 @@ class ServeChaosTest : public ::testing::Test {
     ro.m = 2;
     ro.M = 8;
     rtree_ = core::rtree_build(ctx, lines_, ro).tree;
-    linear_ = core::LinearQuadTree::from(quad_);
     batch_ = make_batch(240);
     oracle_ = oracle(batch_);
   }
@@ -74,7 +73,7 @@ class ServeChaosTest : public ::testing::Test {
               IndexKind::kQuadTree, lines_[(i * 7) % lines_.size()].mid()));
           break;
         case 3:
-          batch.push_back(Request::window_query(IndexKind::kLinearQuadTree,
+          batch.push_back(Request::window_query(IndexKind::kQuadTree,
                                                 {x, y, x + 30.0, y + 30.0}));
           break;
         case 4:
@@ -83,8 +82,7 @@ class ServeChaosTest : public ::testing::Test {
           break;
         case 5:
           batch.push_back(Request::point_query(
-              IndexKind::kLinearQuadTree,
-              lines_[(i * 11) % lines_.size()].mid()));
+              IndexKind::kRTree, lines_[(i * 11) % lines_.size()].mid()));
           break;
         case 6:
           batch.push_back(Request::nearest_query(IndexKind::kRTree,
@@ -108,16 +106,12 @@ class ServeChaosTest : public ::testing::Test {
         case RequestKind::kWindow:
           rsp.ids = rq.index == IndexKind::kQuadTree
                         ? core::window_query(quad_, rq.window)
-                        : rq.index == IndexKind::kRTree
-                              ? core::window_query(rtree_, rq.window)
-                              : linear_.window_query(rq.window);
+                        : core::window_query(rtree_, rq.window);
           break;
         case RequestKind::kPoint:
           rsp.ids = rq.index == IndexKind::kQuadTree
                         ? core::point_query(quad_, rq.point)
-                        : rq.index == IndexKind::kRTree
-                              ? core::point_query(rtree_, rq.point)
-                              : linear_.point_query(rq.point);
+                        : core::point_query(rtree_, rq.point);
           break;
         case RequestKind::kNearest:
           rsp.neighbors = rq.index == IndexKind::kQuadTree
@@ -145,7 +139,6 @@ class ServeChaosTest : public ::testing::Test {
     QueryEngine engine(opts);
     engine.mount(&quad_);
     engine.mount(&rtree_);
-    engine.mount(&linear_);
     ChaosRun run;
     run.responses = engine.serve(batch_);
     run.metrics = engine.metrics();
@@ -223,7 +216,6 @@ class ServeChaosTest : public ::testing::Test {
   std::vector<geom::Segment> lines_;
   core::QuadTree quad_;
   core::RTree rtree_;
-  core::LinearQuadTree linear_;
   std::vector<Request> batch_;
   std::vector<Response> oracle_;
 };

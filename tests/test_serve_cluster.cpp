@@ -55,7 +55,7 @@ serve::ClusterMountOptions mount_options() {
 }
 
 /// Mixed workload over every request kind and index, like the engine's
-/// differential suite (k-nearest skips the linear quadtree).
+/// differential suite.
 std::vector<serve::Request> random_requests(
     const std::vector<geom::Segment>& lines, std::size_t n,
     std::uint64_t seed) {
@@ -64,7 +64,7 @@ std::vector<serve::Request> random_requests(
   std::uniform_real_distribution<double> extent(2.0, kWorld / 6.0);
   std::uniform_int_distribution<std::size_t> kdist(1, 8);
   std::uniform_int_distribution<int> kind(0, 9);
-  std::uniform_int_distribution<int> index(0, 2);
+  std::uniform_int_distribution<int> index(0, 1);
   std::vector<serve::Request> batch;
   batch.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -82,9 +82,7 @@ std::vector<serve::Request> random_requests(
       batch.push_back(serve::Request::point_query(idx, p));
     } else {
       batch.push_back(serve::Request::nearest_query(
-          idx == serve::IndexKind::kLinearQuadTree ? serve::IndexKind::kRTree
-                                                   : idx,
-          {pos(rng), pos(rng)}, kdist(rng)));
+          idx, {pos(rng), pos(rng)}, kdist(rng)));
     }
   }
   return batch;
@@ -95,7 +93,6 @@ std::vector<serve::Request> random_requests(
 struct Oracle {
   core::QuadTree quad;
   core::RTree rtree;
-  core::LinearQuadTree linear;
 
   explicit Oracle(const std::vector<geom::Segment>& lines) {
     dpv::Context ctx;
@@ -104,7 +101,6 @@ struct Oracle {
     po.world = mo.world;
     quad = core::pmr_build(ctx, lines, po).tree;
     rtree = core::rtree_build(ctx, lines, mo.rtree).tree;
-    linear = core::LinearQuadTree::from(quad);
   }
 
   std::vector<geom::LineId> ids(const serve::Request& rq) const {
@@ -114,8 +110,6 @@ struct Oracle {
           return core::window_query(quad, rq.window);
         case serve::IndexKind::kRTree:
           return core::window_query(rtree, rq.window);
-        case serve::IndexKind::kLinearQuadTree:
-          return linear.window_query(rq.window);
       }
     }
     switch (rq.index) {
@@ -123,8 +117,6 @@ struct Oracle {
         return core::point_query(quad, rq.point);
       case serve::IndexKind::kRTree:
         return core::point_query(rtree, rq.point);
-      case serve::IndexKind::kLinearQuadTree:
-        return linear.point_query(rq.point);
     }
     return {};
   }
@@ -380,6 +372,7 @@ TEST(ClusterStatus, GateAndSupportStatuses) {
       serve::IndexKind::kQuadTree, {0, 0, 10, 10})});
   EXPECT_EQ(responses[0].status, serve::Status::kRejected)
       << "nothing mounted";
+  EXPECT_EQ(unmounted.metrics().rejected, 1u);
 
   const auto lines = make_map("uniform", 200, 51);
   serve::Cluster cluster(cluster_options(2, true));
@@ -389,30 +382,20 @@ TEST(ClusterStatus, GateAndSupportStatuses) {
   responses = cluster.serve({
       serve::Request::window_query(serve::IndexKind::kQuadTree,
                                    {nan, 0, 10, 10}),
-      serve::Request::nearest_query(serve::IndexKind::kLinearQuadTree,
-                                    {10, 10}, 3),
+      serve::Request::nearest_query(serve::IndexKind::kRTree, {10, 10}, 3),
       serve::Request::nearest_query(serve::IndexKind::kQuadTree, {10, 10}, 0),
       serve::Request::point_query(serve::IndexKind::kQuadTree, {10, 10}),
   });
   ASSERT_EQ(responses.size(), 4u);
   EXPECT_EQ(responses[0].status, serve::Status::kInvalidArgument);
-  EXPECT_EQ(responses[1].status, serve::Status::kRejected)
-      << "k-nearest has no linear-quadtree pipeline";
+  EXPECT_EQ(responses[1].status, serve::Status::kOk)
+      << "every (kind, index) pair is served";
   EXPECT_EQ(responses[2].status, serve::Status::kInvalidArgument);
   EXPECT_EQ(responses[3].status, serve::Status::kOk);
   const serve::ClusterMetrics m = cluster.metrics();
   EXPECT_EQ(m.invalid, 2u);
-  EXPECT_EQ(m.rejected, 1u);
-  EXPECT_EQ(m.ok, 1u);
-
-  // build_linear = false: linear-quadtree requests answer kRejected.
-  serve::Cluster no_linear(cluster_options(2, false));
-  serve::ClusterMountOptions mo = mount_options();
-  mo.build_linear = false;
-  no_linear.mount(lines, mo);
-  responses = no_linear.serve({serve::Request::window_query(
-      serve::IndexKind::kLinearQuadTree, {0, 0, 10, 10})});
-  EXPECT_EQ(responses[0].status, serve::Status::kRejected);
+  EXPECT_EQ(m.rejected, 0u);
+  EXPECT_EQ(m.ok, 2u);
 }
 
 TEST(ClusterStatus, CancelAllThenReset) {

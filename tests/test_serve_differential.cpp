@@ -56,7 +56,6 @@ class ServeDifferential : public ::testing::TestWithParam<ServeCase> {
     ro.m = 2;
     ro.M = 8;
     rtree_ = core::rtree_build(ctx, lines_, ro).tree;
-    linear_ = core::LinearQuadTree::from(quad_);
   }
 
   std::vector<serve::Request> random_requests(std::size_t n,
@@ -66,7 +65,7 @@ class ServeDifferential : public ::testing::TestWithParam<ServeCase> {
     std::uniform_real_distribution<double> extent(2.0, kWorld / 6.0);
     std::uniform_int_distribution<std::size_t> kdist(1, 8);
     std::uniform_int_distribution<int> kind(0, 9);
-    std::uniform_int_distribution<int> index(0, 2);
+    std::uniform_int_distribution<int> index(0, 1);
     std::vector<serve::Request> batch;
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -82,12 +81,9 @@ class ServeDifferential : public ::testing::TestWithParam<ServeCase> {
                                   ? lines_[i % lines_.size()].mid()
                                   : geom::Point{pos(rng), pos(rng)};
         batch.push_back(serve::Request::point_query(idx, p));
-      } else {  // nearest (not supported on the linear quadtree)
+      } else {  // nearest
         batch.push_back(serve::Request::nearest_query(
-            idx == serve::IndexKind::kLinearQuadTree
-                ? serve::IndexKind::kRTree
-                : idx,
-            {pos(rng), pos(rng)}, kdist(rng)));
+            idx, {pos(rng), pos(rng)}, kdist(rng)));
       }
     }
     return batch;
@@ -100,8 +96,6 @@ class ServeDifferential : public ::testing::TestWithParam<ServeCase> {
           return core::window_query(quad_, rq.window);
         case serve::IndexKind::kRTree:
           return core::window_query(rtree_, rq.window);
-        case serve::IndexKind::kLinearQuadTree:
-          return linear_.window_query(rq.window);
       }
     }
     switch (rq.index) {
@@ -109,8 +103,6 @@ class ServeDifferential : public ::testing::TestWithParam<ServeCase> {
         return core::point_query(quad_, rq.point);
       case serve::IndexKind::kRTree:
         return core::point_query(rtree_, rq.point);
-      case serve::IndexKind::kLinearQuadTree:
-        return linear_.point_query(rq.point);
     }
     return {};
   }
@@ -118,7 +110,6 @@ class ServeDifferential : public ::testing::TestWithParam<ServeCase> {
   std::vector<geom::Segment> lines_;
   core::QuadTree quad_;
   core::RTree rtree_;
-  core::LinearQuadTree linear_;
 };
 
 // The engine, sharded and threaded per the case, must answer exactly what
@@ -134,7 +125,6 @@ TEST_P(ServeDifferential, EngineMatchesSequential) {
   serve::QueryEngine engine(opts);
   engine.mount(&quad_);
   engine.mount(&rtree_);
-  engine.mount(&linear_);
 
   const auto batch = random_requests(c.n_requests, c.seed * 7919 + 13);
   const auto responses = engine.serve(batch);
@@ -183,6 +173,9 @@ TEST_P(ServeDifferential, BatchPipelinesMatchSequential) {
                          : geom::Point{pos(rng), pos(rng)});
   }
 
+  // The linear quadtree is a core structure only (serving holds the PMR
+  // quadtree and the R-tree), so its batch pipelines are checked here.
+  const core::LinearQuadTree linear = core::LinearQuadTree::from(quad_);
   dpv::Context serial;
   dpv::Context parallel = test::make_parallel_context();
   for (dpv::Context* ctx : {&serial, &parallel}) {
@@ -197,15 +190,15 @@ TEST_P(ServeDifferential, BatchPipelinesMatchSequential) {
                 core::window_query(rtree_, windows[w]))
           << "window " << w;
     }
-    const auto linear_batch = core::batch_window_query(*ctx, linear_, windows);
+    const auto linear_batch = core::batch_window_query(*ctx, linear, windows);
     ASSERT_EQ(linear_batch.results.size(), windows.size());
     for (std::size_t w = 0; w < windows.size(); ++w) {
-      EXPECT_EQ(linear_batch.results[w], linear_.window_query(windows[w]))
+      EXPECT_EQ(linear_batch.results[w], linear.window_query(windows[w]))
           << "window " << w;
     }
     const auto point_batch = core::batch_point_query(*ctx, quad_, points);
     const auto rtree_points = core::batch_point_query(*ctx, rtree_, points);
-    const auto linear_points = core::batch_point_query(*ctx, linear_, points);
+    const auto linear_points = core::batch_point_query(*ctx, linear, points);
     ASSERT_EQ(point_batch.results.size(), points.size());
     ASSERT_EQ(rtree_points.results.size(), points.size());
     ASSERT_EQ(linear_points.results.size(), points.size());
@@ -214,14 +207,14 @@ TEST_P(ServeDifferential, BatchPipelinesMatchSequential) {
           << "point " << p;
       EXPECT_EQ(rtree_points.results[p], core::point_query(rtree_, points[p]))
           << "point " << p;
-      EXPECT_EQ(linear_points.results[p], linear_.point_query(points[p]))
+      EXPECT_EQ(linear_points.results[p], linear.point_query(points[p]))
           << "point " << p;
     }
   }
 }
 
 // Under a forced dp path, every group with a data-parallel kernel -- the
-// window and point combinations on all three indexes -- must take it: the
+// window and point combinations on both indexes -- must take it: the
 // engine may not silently fall back to sequential traversal.  k-nearest
 // has no serving pipeline, so its groups sweep sequentially, exactly.
 TEST_P(ServeDifferential, AllCombosExecuteDataParallel) {
@@ -233,17 +226,16 @@ TEST_P(ServeDifferential, AllCombosExecuteDataParallel) {
   serve::QueryEngine engine(opts);
   engine.mount(&quad_);
   engine.mount(&rtree_);
-  engine.mount(&linear_);
 
-  // Every supported combo in rotation: windows and points on all three
-  // indexes, k-nearest on the two tree indexes (split into its own batch).
+  // Every combo in rotation: windows and points on both indexes, k-nearest
+  // on both (split into its own batch).
   std::mt19937_64 rng(c.seed * 6151 + 3);
   std::uniform_real_distribution<double> pos(0.0, kWorld - 1.0);
   std::uniform_int_distribution<std::size_t> kdist(1, 8);
   std::vector<serve::Request> dp_batch;
   std::vector<serve::Request> knn_batch;
   for (std::size_t i = 0; i < std::min<std::size_t>(c.n_requests, 300); ++i) {
-    const auto idx = static_cast<serve::IndexKind>(i % 3);
+    const auto idx = static_cast<serve::IndexKind>(i % 2);
     const double x = pos(rng), y = pos(rng);
     switch (i % 8) {
       case 0:

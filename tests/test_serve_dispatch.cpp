@@ -38,14 +38,12 @@ class ServeDispatchTest : public ::testing::Test {
     ro.m = 2;
     ro.M = 8;
     rtree_ = core::rtree_build(ctx, lines_, ro).tree;
-    linear_ = core::LinearQuadTree::from(quad_);
   }
 
   std::unique_ptr<QueryEngine> make_engine(EngineOptions opts = {}) {
     auto e = std::make_unique<QueryEngine>(opts);
     e->mount(&quad_);
     e->mount(&rtree_);
-    e->mount(&linear_);
     return e;
   }
 
@@ -55,7 +53,9 @@ class ServeDispatchTest : public ::testing::Test {
     for (std::size_t i = 0; i < n; ++i) {
       const double x = static_cast<double>((i * 131) % 900);
       const double y = static_cast<double>((i * 79) % 900);
-      const auto idx = static_cast<IndexKind>(i % 3);
+      // Four kinds per index, then the other index: every (kind, index)
+      // pair recurs.
+      const auto idx = static_cast<IndexKind>((i / 4) % 2);
       switch (i % 4) {
         case 0:
           batch.push_back(
@@ -69,9 +69,7 @@ class ServeDispatchTest : public ::testing::Test {
           batch.push_back(Request::point_query(idx, {x + 0.5, y + 0.5}));
           break;
         default:
-          batch.push_back(Request::nearest_query(
-              idx == IndexKind::kLinearQuadTree ? IndexKind::kQuadTree : idx,
-              {x, y}, 1 + i % 4));
+          batch.push_back(Request::nearest_query(idx, {x, y}, 1 + i % 4));
           break;
       }
     }
@@ -108,16 +106,12 @@ class ServeDispatchTest : public ::testing::Test {
       case RequestKind::kWindow:
         rsp.ids = rq.index == IndexKind::kQuadTree
                       ? core::window_query(quad_, rq.window)
-                      : rq.index == IndexKind::kRTree
-                            ? core::window_query(rtree_, rq.window)
-                            : linear_.window_query(rq.window);
+                      : core::window_query(rtree_, rq.window);
         break;
       case RequestKind::kPoint:
         rsp.ids = rq.index == IndexKind::kQuadTree
                       ? core::point_query(quad_, rq.point)
-                      : rq.index == IndexKind::kRTree
-                            ? core::point_query(rtree_, rq.point)
-                            : linear_.point_query(rq.point);
+                      : core::point_query(rtree_, rq.point);
         break;
       case RequestKind::kNearest:
         rsp.neighbors = rq.index == IndexKind::kQuadTree
@@ -155,11 +149,8 @@ class ServeDispatchTest : public ::testing::Test {
     g.kind = static_cast<int>(kind);
     g.index = static_cast<int>(index);
     g.group_size = n;
-    g.map_elements = index == IndexKind::kQuadTree
-                         ? quad_.num_qedges()
-                         : index == IndexKind::kRTree
-                               ? rtree_.entries().size()
-                               : linear_.edges().size();
+    g.map_elements = index == IndexKind::kQuadTree ? quad_.num_qedges()
+                                                   : rtree_.entries().size();
     return g;
   }
 
@@ -187,7 +178,6 @@ class ServeDispatchTest : public ::testing::Test {
   std::vector<geom::Segment> lines_;
   core::QuadTree quad_;
   core::RTree rtree_;
-  core::LinearQuadTree linear_;
 };
 
 TEST_F(ServeDispatchTest, ForceDpRunsEveryGroupDataParallel) {
@@ -250,7 +240,7 @@ TEST_F(ServeDispatchTest, MixedBatchSplitsNearestFromDpKernelGroups) {
   const auto batch = mixed_requests(120);
   expect_matches_sequential(batch, engine->serve(batch), "mixed");
   const ServeMetrics m = engine->metrics();
-  EXPECT_EQ(m.dp_groups, 6u) << "window and point on all three indexes";
+  EXPECT_EQ(m.dp_groups, 4u) << "window and point on both indexes";
   EXPECT_EQ(m.seq_groups, 2u) << "k-nearest on the quadtree and the R-tree";
   EXPECT_EQ(m.hybrid_groups, 0u);
   EXPECT_EQ(m.seq_fallbacks, 0u);

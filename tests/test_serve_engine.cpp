@@ -31,7 +31,6 @@ class QueryEngineTest : public ::testing::Test {
     ro.m = 2;
     ro.M = 8;
     rtree_ = core::rtree_build(ctx, lines_, ro).tree;
-    linear_ = core::LinearQuadTree::from(quad_);
   }
 
   // QueryEngine owns a mutex/atomic, so it is neither movable nor
@@ -40,7 +39,6 @@ class QueryEngineTest : public ::testing::Test {
     auto e = std::make_unique<QueryEngine>(opts);
     e->mount(&quad_);
     e->mount(&rtree_);
-    e->mount(&linear_);
     return e;
   }
 
@@ -50,7 +48,7 @@ class QueryEngineTest : public ::testing::Test {
     for (std::size_t i = 0; i < n; ++i) {
       const double x = static_cast<double>((i * 131) % 900);
       const double y = static_cast<double>((i * 79) % 900);
-      const auto idx = static_cast<IndexKind>(i % 3);
+      const auto idx = static_cast<IndexKind>(i % 2);
       switch (i % 5) {
         case 0:
         case 1:
@@ -65,35 +63,26 @@ class QueryEngineTest : public ::testing::Test {
           batch.push_back(Request::point_query(idx, {x + 0.5, y + 0.5}));
           break;
         default:
-          // Nearest is unsupported on the linear quadtree; keep it on the
-          // tree indexes here (the rejection path has its own test).
-          batch.push_back(Request::nearest_query(
-              idx == IndexKind::kLinearQuadTree ? IndexKind::kQuadTree : idx,
-              {x, y}, 1 + i % 4));
+          batch.push_back(Request::nearest_query(idx, {x, y}, 1 + i % 4));
           break;
       }
     }
     return batch;
   }
 
-  // Sequential ground truth for one request (mirrors the engine's
-  // supported-combination table).
+  // Sequential ground truth for one request.
   Response expect_for(const Request& rq) const {
     Response rsp;
     switch (rq.kind) {
       case RequestKind::kWindow:
         rsp.ids = rq.index == IndexKind::kQuadTree
                       ? core::window_query(quad_, rq.window)
-                      : rq.index == IndexKind::kRTree
-                            ? core::window_query(rtree_, rq.window)
-                            : linear_.window_query(rq.window);
+                      : core::window_query(rtree_, rq.window);
         break;
       case RequestKind::kPoint:
         rsp.ids = rq.index == IndexKind::kQuadTree
                       ? core::point_query(quad_, rq.point)
-                      : rq.index == IndexKind::kRTree
-                            ? core::point_query(rtree_, rq.point)
-                            : linear_.point_query(rq.point);
+                      : core::point_query(rtree_, rq.point);
         break;
       case RequestKind::kNearest:
         rsp.neighbors = rq.index == IndexKind::kQuadTree
@@ -125,7 +114,6 @@ class QueryEngineTest : public ::testing::Test {
   std::vector<geom::Segment> lines_;
   core::QuadTree quad_;
   core::RTree rtree_;
-  core::LinearQuadTree linear_;
 };
 
 TEST_F(QueryEngineTest, EmptyBatch) {
@@ -167,25 +155,17 @@ TEST_F(QueryEngineTest, UnmountedIndexIsRejected) {
   EngineOptions opts;
   opts.shards = 2;
   QueryEngine engine(opts);
-  engine.mount(&quad_);  // no R-tree, no linear quadtree
+  engine.mount(&quad_);  // no R-tree
   std::vector<Request> batch{
       Request::window_query(IndexKind::kQuadTree, {0, 0, 100, 100}),
       Request::window_query(IndexKind::kRTree, {0, 0, 100, 100}),
-      Request::point_query(IndexKind::kLinearQuadTree, {1, 1}),
+      Request::point_query(IndexKind::kRTree, {1, 1}),
   };
   const auto rsp = engine.serve(batch);
   EXPECT_EQ(rsp[0].status, Status::kOk);
   EXPECT_EQ(rsp[1].status, Status::kRejected);
   EXPECT_EQ(rsp[2].status, Status::kRejected);
   EXPECT_EQ(engine.metrics().rejected, 2u);
-}
-
-TEST_F(QueryEngineTest, NearestOnLinearQuadtreeIsRejected) {
-  auto engine = make_engine();
-  const auto rsp = engine->serve(
-      {Request::nearest_query(IndexKind::kLinearQuadTree, {10, 10}, 3)});
-  ASSERT_EQ(rsp.size(), 1u);
-  EXPECT_EQ(rsp[0].status, Status::kRejected);
 }
 
 TEST_F(QueryEngineTest, ExpiredDeadlineShortCircuits) {

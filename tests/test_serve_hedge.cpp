@@ -313,7 +313,7 @@ TEST(ClusterDegrade, CrashDegradesToFallbackOracleAndSkipsCache) {
   const geom::Rect all{0.0, 0.0, kWorld, kWorld};
   batch.push_back(Request::aggregate_query(IndexKind::kQuadTree, inner));
   batch.push_back(Request::aggregate_query(IndexKind::kRTree, all));
-  batch.push_back(Request::aggregate_query(IndexKind::kLinearQuadTree, inner));
+  batch.push_back(Request::aggregate_query(IndexKind::kRTree, inner));
   batch.push_back(Request::join_query(IndexKind::kQuadTree));
   batch.push_back(Request::join_query(IndexKind::kRTree));
 
@@ -523,7 +523,7 @@ std::vector<Request> rounds_batch(const std::vector<geom::Segment>& lines) {
                                            {100.0, 200.0, 700.0, 650.0}));
   batch.push_back(
       Request::aggregate_query(IndexKind::kRTree, {0.0, 0.0, kWorld, kWorld}));
-  batch.push_back(Request::aggregate_query(IndexKind::kLinearQuadTree,
+  batch.push_back(Request::aggregate_query(IndexKind::kQuadTree,
                                            {480.0, 480.0, 560.0, 540.0}));
   batch.push_back(Request::join_query(IndexKind::kQuadTree));
   batch.push_back(Request::join_query(IndexKind::kRTree));

@@ -128,8 +128,8 @@ serve::UpdateBatch make_delta(std::vector<geom::Segment>& live,
   return batch;
 }
 
-/// Mixed request workload over every kind and index (k-nearest skips the
-/// linear quadtree), like the engine/cluster differential suites.
+/// Mixed request workload over every kind and index, like the
+/// engine/cluster differential suites.
 std::vector<serve::Request> random_requests(
     const std::vector<geom::Segment>& lines, std::size_t n,
     std::uint64_t seed) {
@@ -138,7 +138,7 @@ std::vector<serve::Request> random_requests(
   std::uniform_real_distribution<double> extent(2.0, kWorld / 6.0);
   std::uniform_int_distribution<std::size_t> kdist(1, 8);
   std::uniform_int_distribution<int> kind(0, 9);
-  std::uniform_int_distribution<int> index(0, 2);
+  std::uniform_int_distribution<int> index(0, 1);
   std::vector<serve::Request> batch;
   batch.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -156,9 +156,7 @@ std::vector<serve::Request> random_requests(
       batch.push_back(serve::Request::point_query(idx, p));
     } else {
       batch.push_back(serve::Request::nearest_query(
-          idx == serve::IndexKind::kLinearQuadTree ? serve::IndexKind::kRTree
-                                                   : idx,
-          {pos(rng), pos(rng)}, kdist(rng)));
+          idx, {pos(rng), pos(rng)}, kdist(rng)));
     }
   }
   return batch;
@@ -169,13 +167,11 @@ std::vector<serve::Request> random_requests(
 struct RebuildOracle {
   core::QuadTree quad;
   core::RTree rtree;
-  core::LinearQuadTree linear;
 
   explicit RebuildOracle(const std::vector<geom::Segment>& lines) {
     dpv::Context ctx;
     quad = core::pmr_build(ctx, lines, quad_options()).tree;
     rtree = core::rtree_build(ctx, lines, rtree_options()).tree;
-    linear = core::LinearQuadTree::from(quad);
   }
 
   std::vector<geom::LineId> ids(const serve::Request& rq) const {
@@ -185,8 +181,6 @@ struct RebuildOracle {
           return core::window_query(quad, rq.window);
         case serve::IndexKind::kRTree:
           return core::window_query(rtree, rq.window);
-        case serve::IndexKind::kLinearQuadTree:
-          return linear.window_query(rq.window);
       }
     }
     switch (rq.index) {
@@ -194,8 +188,6 @@ struct RebuildOracle {
         return core::point_query(quad, rq.point);
       case serve::IndexKind::kRTree:
         return core::point_query(rtree, rq.point);
-      case serve::IndexKind::kLinearQuadTree:
-        return linear.point_query(rq.point);
     }
     return {};
   }
@@ -259,7 +251,6 @@ TEST_P(EngineUpdateDifferential, UpdateMatchesRebuildExactly) {
       core::pmr_build(build_ctx, initial, quad_options()).tree;
   const core::RTree rtree =
       core::rtree_build(build_ctx, initial, rtree_options()).tree;
-  const core::LinearQuadTree linear = core::LinearQuadTree::from(quad);
 
   serve::EngineOptions eo;
   eo.shards = 2;
@@ -267,7 +258,6 @@ TEST_P(EngineUpdateDifferential, UpdateMatchesRebuildExactly) {
   serve::QueryEngine engine(eo);
   engine.mount(&quad);
   engine.mount(&rtree);
-  engine.mount(&linear);
   const std::uint64_t epoch0 = engine.mount_epoch();
 
   const serve::UpdateOptions uo = update_options(c.compact_after);
@@ -293,8 +283,8 @@ TEST_P(EngineUpdateDifferential, UpdateMatchesRebuildExactly) {
               rebuild_fingerprint(live, quad_options()))
         << "step " << step;
 
-    // Byte-identical answers vs the rebuild oracle, on all three indexes
-    // (the stale R-tree / linear quadtree rebuild lazily on first use).
+    // Byte-identical answers vs the rebuild oracle, on both indexes (the
+    // stale R-tree rebuilds lazily on first use).
     const RebuildOracle oracle(live);
     const auto reqs = random_requests(live, 60, c.seed * 31 + step);
     const auto responses = engine.serve(reqs);
@@ -309,7 +299,7 @@ TEST_P(EngineUpdateDifferential, UpdateMatchesRebuildExactly) {
   EXPECT_EQ(m.update_inserts, 60u);
   EXPECT_EQ(m.update_failures, 0u);
   EXPECT_GT(m.lazy_rtree_rebuilds, 0u);
-  EXPECT_GT(m.lazy_linear_rebuilds, 0u);
+  EXPECT_EQ(m.lazy_linear_rebuilds, 0u);
   if (c.compact_after < 18) {
     // Every step carries 18+ deltas, so a small threshold must compact.
     EXPECT_GT(m.compactions, 0u);
@@ -369,7 +359,7 @@ TEST(EngineUpdate, CompactionResetsDebtAndMatchesRebuild) {
 }
 
 // An engine grown from empty via apply_update serves the full index
-// matrix: the quadtree directly, the siblings through the lazy per-epoch
+// matrix: the quadtree directly, the R-tree through the lazy per-epoch
 // rebuild.
 TEST(EngineUpdate, GrowFromEmptyServesFullMatrix) {
   serve::QueryEngine engine;
@@ -387,7 +377,6 @@ TEST(EngineUpdate, GrowFromEmptyServesFullMatrix) {
   ASSERT_EQ(res.status, serve::Status::kOk);
   EXPECT_TRUE(engine.mounted_index(serve::IndexKind::kQuadTree));
   EXPECT_TRUE(engine.mounted_index(serve::IndexKind::kRTree));
-  EXPECT_TRUE(engine.mounted_index(serve::IndexKind::kLinearQuadTree));
 
   const RebuildOracle oracle(live);
   const auto reqs = random_requests(live, 45, 99);
@@ -397,7 +386,7 @@ TEST(EngineUpdate, GrowFromEmptyServesFullMatrix) {
   }
   const serve::ServeMetrics m = engine.metrics();
   EXPECT_EQ(m.lazy_rtree_rebuilds, 1u);
-  EXPECT_EQ(m.lazy_linear_rebuilds, 1u);
+  EXPECT_EQ(m.lazy_linear_rebuilds, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -557,7 +546,6 @@ TEST(SnapshotConsistency, EngineReadersNeverSeeTornUpdate) {
   const core::QuadTree quad = core::pmr_build(ctx, lines, quad_options()).tree;
   const core::RTree rtree =
       core::rtree_build(ctx, lines, rtree_options()).tree;
-  const core::LinearQuadTree linear = core::LinearQuadTree::from(quad);
 
   serve::EngineOptions eo;
   eo.shards = 2;
@@ -565,7 +553,6 @@ TEST(SnapshotConsistency, EngineReadersNeverSeeTornUpdate) {
   serve::QueryEngine engine(eo);
   engine.mount(&quad);
   engine.mount(&rtree);
-  engine.mount(&linear);
 
   constexpr std::uint64_t kUpdates = 40;
   std::atomic<bool> done{false};
@@ -598,7 +585,6 @@ TEST(SnapshotConsistency, EngineReadersNeverSeeTornUpdate) {
   std::vector<std::thread> readers;
   readers.emplace_back(reader, serve::IndexKind::kQuadTree);
   readers.emplace_back(reader, serve::IndexKind::kRTree);
-  readers.emplace_back(reader, serve::IndexKind::kLinearQuadTree);
 
   const serve::UpdateOptions uo = update_options(/*compact_after=*/24);
   for (std::uint64_t k = 0; k < kUpdates; ++k) {
