@@ -12,6 +12,7 @@
 
 #include "core/core.hpp"
 #include "data/mapgen.hpp"
+#include "serve/cluster.hpp"
 #include "serve/engine.hpp"
 
 namespace dps::core {
@@ -227,6 +228,44 @@ TEST(ServeBoundary, AllInvalidBatchSkipsAdmissionEntirely) {
     EXPECT_EQ(r.status, Status::kInvalidArgument);
   }
   EXPECT_EQ(engine.admission_stats().offered_batches, 0u);
+}
+
+TEST(ServeBoundary, InvertedWindowIsInvalidOnEngineAndCluster) {
+  using namespace dps::serve;
+  auto lines = data::uniform_segments(100, 1024.0, 25.0, 8);
+  dpv::Context ctx;
+  PmrBuildOptions po;
+  po.world = 1024.0;
+  const QuadTree tree = pmr_build(ctx, lines, po).tree;
+  // An inverted window intersects nothing, yet it is a caller error: the
+  // engine and the cluster door both validate every request, so neither
+  // answers it kOk-and-empty as the raw query would.
+  const Request inverted =
+      Request::window_query(IndexKind::kQuadTree, {100, 0, 0, 100});
+  ASSERT_TRUE(window_query(tree, inverted.window).empty());
+
+  QueryEngine engine;
+  engine.mount(&tree);
+  const auto rsp = engine.serve({inverted});
+  ASSERT_EQ(rsp.size(), 1u);
+  EXPECT_EQ(rsp[0].status, Status::kInvalidArgument);
+  EXPECT_TRUE(rsp[0].ids.empty());
+  EXPECT_EQ(engine.metrics().invalid, 1u);
+  EXPECT_EQ(engine.metrics().ok, 0u);
+
+  ClusterOptions co;
+  co.shards = 2;
+  co.engine.threads = 2;
+  Cluster cluster(co);
+  ClusterMountOptions mo;
+  mo.world = 1024.0;
+  cluster.mount(lines, mo);
+  const auto crsp = cluster.serve({inverted});
+  ASSERT_EQ(crsp.size(), 1u);
+  EXPECT_EQ(crsp[0].status, Status::kInvalidArgument);
+  EXPECT_TRUE(crsp[0].ids.empty());
+  EXPECT_EQ(cluster.metrics().invalid, 1u);
+  EXPECT_EQ(cluster.metrics().ok, 0u);
 }
 
 }  // namespace

@@ -168,6 +168,23 @@ TEST_F(QueryEngineTest, UnmountedIndexIsRejected) {
   EXPECT_EQ(engine.metrics().rejected, 2u);
 }
 
+TEST_F(QueryEngineTest, NearestOnUnmountedIndexIsRejected) {
+  QueryEngine engine;
+  engine.mount(&quad_);  // no R-tree
+  const std::vector<Request> batch{
+      Request::nearest_query(IndexKind::kRTree, {10, 10}, 3),
+      Request::nearest_query(IndexKind::kQuadTree, {10, 10}, 3),
+  };
+  const auto rsp = engine.serve(batch);
+  ASSERT_EQ(rsp.size(), 2u);
+  EXPECT_EQ(rsp[0].status, Status::kRejected);
+  EXPECT_TRUE(rsp[0].neighbors.empty());
+  expect_matches_sequential({batch[1]}, {rsp[1]});
+  Response oracle_rsp;
+  EXPECT_EQ(engine.run_oracle(batch[0], oracle_rsp), Status::kRejected);
+  EXPECT_EQ(engine.metrics().rejected, 1u);
+}
+
 TEST_F(QueryEngineTest, ExpiredDeadlineShortCircuits) {
   auto engine = make_engine();
   auto batch = mixed_requests(20);
