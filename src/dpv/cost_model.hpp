@@ -40,7 +40,8 @@
 // observe() may race freely across engine shards.
 //
 // Override: force(kDp/kSeq) pins every decision of every model globally
-// (mirroring `simd::force()`); it is the only switch around the model.
+// (mirroring `simd::force()`), and serve::Cluster's round fork rule with
+// it; it is the only switch around the model.
 // warm() installs coefficients outright, which is how tests inject forced
 // coefficients and how Cluster replicas share ledgers.
 

@@ -1,6 +1,8 @@
 #include "dpv/thread_pool.hpp"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 
 namespace dps::dpv {
 
@@ -113,6 +115,29 @@ void AsyncPool::submit(std::function<void()> job) {
     queue_.push_back(std::move(job));
   }
   cv_.notify_one();
+}
+
+double AsyncPool::round_trip_us() {
+  using Clock = std::chrono::steady_clock;
+  std::array<double, 16> trips{};
+  std::mutex m;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < trips.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto t0 = Clock::now();
+    submit([&] {
+      std::lock_guard<std::mutex> lk(m);
+      ++done;
+      cv.notify_one();
+    });
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return done > i; });
+    trips[i] =
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+  }
+  std::nth_element(trips.begin(), trips.begin() + 8, trips.end());
+  return trips[8];
 }
 
 void AsyncPool::worker_loop() {

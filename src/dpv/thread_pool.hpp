@@ -109,6 +109,13 @@ class AsyncPool {
   /// job execution; jobs submitted after shutdown began are dropped.
   void submit(std::function<void()> job);
 
+  /// Median wall-clock microseconds of 16 no-op submit-and-wait round
+  /// trips: the fixed cost a job pays before it starts.  Each trip finds
+  /// the pool idle for a millisecond, as between a client's batches (back
+  /// to back, a trip finds its worker still awake and reads about a third
+  /// of that).  Blocks for about 16 ms.
+  double round_trip_us();
+
   /// True once destruction began; long-running jobs poll this.
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);

@@ -19,10 +19,6 @@ double us_since(Clock::time_point t) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t).count();
 }
 
-/// Cap on one round's observed span, as a multiple of the path's current
-/// estimate (see Cluster::run_round).
-constexpr double kSpanOutlierFactor = 2.0;
-
 /// Budget slack reserved ahead of a request's deadline: a subrequest is
 /// abandoned this early so the sequential oracle settle of the missing
 /// shard still fits inside the deadline.
@@ -176,6 +172,7 @@ struct Cluster::RoundSlot {
   std::shared_ptr<SubJob> primary;
   std::shared_ptr<SubJob> hedge;
   bool skipped = false;        // breaker open: never dispatched
+  bool here = false;           // served on the calling thread, not the pool
   bool hedge_decided = false;  // hedge fired, or ruled out for this slot
 
   /// The usable answer at `pos`: the primary's, else the hedge's (setting
@@ -204,13 +201,6 @@ struct Cluster::Pending {
 
 Cluster::Cluster(ClusterOptions opts)
     : opts_(std::move(opts)),
-      round_model_([this] {
-        // The engines' knob, the engines' prior: a round of at least
-        // `min_dp_batch` subrequests fans out until measurements exist.
-        dpv::CostModelOptions co = opts_.engine.cost_model;
-        co.bootstrap_min_dp_batch = opts_.engine.min_dp_batch;
-        return co;
-      }()),
       cache_(opts_.cache),
       admission_(opts_.admission) {
   shards_ = opts_.shards == 0 ? 1 : opts_.shards;
@@ -236,10 +226,14 @@ Cluster::Cluster(ClusterOptions opts)
       backups_.push_back(std::make_unique<QueryEngine>(opts_.engine));
     }
   }
-  // Every primary plus every possible hedge can run at once.  Rounds the
-  // cluster serves inline on the calling thread never touch the pool.
+  // Every primary plus every possible hedge can run at once.  An inline
+  // round never touches the pool; a forked unarmed one keeps one shard.
   dispatch_pool_ = std::make_unique<dpv::AsyncPool>(
       std::min<std::size_t>(2 * shards_ + 2, 32));
+  // kappa prices the host's handoff, not this cluster's: the first
+  // cluster's pool measures it once per process.
+  static const double kRoundTripUs = dispatch_pool_->round_trip_us();
+  fork_cost_us_ = 2.0 * kRoundTripUs;
 }
 
 Cluster::~Cluster() {
@@ -422,7 +416,6 @@ UpdateOptions Cluster::update_options() const {
   uo.build = mount_opts_.quad;
   uo.build.world = mount_opts_.world;
   uo.rtree = mount_opts_.rtree;
-  uo.keep_rtree = true;
   uo.compact_after = opts_.update_compact_after;
   return uo;
 }
@@ -645,9 +638,11 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
   // and build its primary job.  Nothing runs yet.
   const auto now0 = Clock::now();
   std::size_t routed = 0;
+  std::size_t largest = shards_, most = 0;  // the largest sub-batch, its size
   bool eligible = !opts_.hedge.enabled;
   for (std::size_t s = 0; s < shards_; ++s) {
     if (sub[s].empty()) continue;
+    delta.routed_subrequests += sub[s].size();
     ReplicaState& rs = *replica_state_[s];
     const CircuitBreaker::Gate gate = rs.breaker.admit(now0);
     if (gate == CircuitBreaker::Gate::kSkip) {
@@ -669,57 +664,61 @@ void Cluster::run_round(std::vector<std::vector<Request>>& sub,
     rs.count(&ReplicaState::subrequests);
     routed += job->reqs.size();
     eligible = eligible && job->injector == nullptr && !job->has_budget();
+    if (job->reqs.size() > most) {
+      most = job->reqs.size();
+      largest = s;
+    }
     slots[s].primary = std::move(job);
   }
   if (routed == 0) return;
 
-  // Granularity control, sptl-style with a measured oracle: a round too
-  // small to amortize the pool handoff and the cv wait runs on this
-  // thread.  Only rounds with no failure-domain machinery armed may:
+  // Granularity control, sptl's one-constant rule: fork only when the work
+  // a fork moves off this thread, c x (routed - largest), pays for its
+  // handoff, kappa.  c starts at 0, so a cold cluster serves inline and
+  // never probes the parallel path.  Only unarmed rounds may stay here:
   // hedges, replica faults and budgets all live in the fan-out wait loop.
-  // The model observes the round's wall-clock span, not the thread CPU
-  // time the engines price their dispatch groups with -- the choice here
-  // is about span, and fan-out work runs on pool threads this thread's
-  // CPU clock never sees.
-  const dpv::GroupShape shape{0, static_cast<int>(round), routed, 0};
-  const bool inline_round = eligible && !round_model_.decide(shape).use_dp;
-  const auto t0 = Clock::now();
-  if (inline_round) {
-    auto t = t0;
-    for (std::size_t s = 0; s < shards_; ++s) {
-      if (!slots[s].primary) continue;
-      SubJob& job = *slots[s].primary;
-      job.submitted = t;
-      job.rsps = job.engine->serve(job.reqs, &job.cancel);
-      job.finished = t = Clock::now();
-      job.done.store(true, std::memory_order_relaxed);
-      job.resolved = true;
-      note_answered(s, job, delta);
-    }
-    ++delta.inline_rounds;
-  } else {
-    fan_out(slots, delta);
-    ++delta.fanout_rounds;
+  const std::size_t rest = routed - most;
+  const int forced = dpv::CostModel::forced_path();
+  const double c = cpu_per_sub_us_.load(std::memory_order_relaxed);
+  const bool fork =
+      !eligible || (forced >= 0 ? forced == static_cast<int>(dpv::CostPath::kDp)
+                                : c * rest >= fork_cost_us_);
+  // A forked round keeps its largest sub-batch here.  An armed round keeps
+  // nothing, to stay free to fire hedges and abandon at budget; nor does a
+  // forced one-shard fork.
+  for (std::size_t s = 0; s < shards_; ++s) {
+    slots[s].here = slots[s].primary &&
+                    (!fork || (eligible && rest > 0 && s == largest));
   }
-  if (eligible) {
-    // On a shared host one descheduled thread can stretch a single round
-    // several-fold.  Each span is clipped at kSpanOutlierFactor times the
-    // path's current estimate: a real shift still moves the estimate by up
-    // to `ema_alpha` of itself per round, but one outlier can no longer
-    // flip the choice and hold it until the loser's next refresh probe.
-    const dpv::CostPath path =
-        inline_round ? dpv::CostPath::kSeq : dpv::CostPath::kDp;
-    double span = us_since(t0);
-    const double est = round_model_.estimate_us(shape, path);
-    if (est > 0.0) span = std::min(span, kSpanOutlierFactor * est);
-    round_model_.observe(shape, path, span);
-  }
+  fan_out(slots, delta);
+  ++(fork ? delta.fanout_rounds : delta.inline_rounds);
 }
 
 void Cluster::fan_out(std::vector<RoundSlot>& slots, ClusterMetrics& delta) {
   const auto waiter = std::make_shared<Waiter>();
   for (RoundSlot& sl : slots) {
-    if (sl.primary) submit_job(sl.primary, waiter);
+    if (sl.primary && !sl.here) submit_job(sl.primary, waiter);
+  }
+  const double cpu0 = thread_cpu_us();
+  std::size_t here = 0;  // subrequests this thread served
+  for (std::size_t s = 0; s < shards_; ++s) {
+    if (!slots[s].here) continue;
+    SubJob& job = *slots[s].primary;
+    job.submitted = Clock::now();
+    job.rsps = job.engine->serve(job.reqs, &job.cancel);
+    job.finished = Clock::now();
+    job.done.store(true, std::memory_order_relaxed);
+    job.resolved = true;
+    note_answered(s, job, delta);
+    here += job.reqs.size();
+  }
+  if (here > 0) {
+    // c's EMA (alpha = 1/4), seeded by its first sample.  A concurrent
+    // client's racing update may drop one sample, which an EMA absorbs.
+    const double sample = (thread_cpu_us() - cpu0) / static_cast<double>(here);
+    const double c = cpu_per_sub_us_.load(std::memory_order_relaxed);
+    cpu_per_sub_us_.store(c == 0.0 ? sample : c + 0.25 * (sample - c),
+                          std::memory_order_relaxed);
   }
 
   // Merge-on-arrival wait loop: resolve completions as they land, fire
@@ -938,9 +937,6 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
         }
         pending.push_back(std::move(p));
       }
-      for (const auto& sub : round1) {
-        delta.routed_subrequests += sub.size();
-      }
       std::vector<RoundSlot> r1(shards_);
       std::vector<RoundSlot> r2(shards_);
       run_round(round1, 0, batch_seq, r1, delta);
@@ -1002,9 +998,6 @@ std::vector<Response> Cluster::serve(const std::vector<Request>& batch) {
             ++delta.knn_widened_shards;
           }
         }
-      }
-      for (const auto& sub : round2) {
-        delta.routed_subrequests += sub.size();
       }
       run_round(round2, 1, batch_seq, r2, delta);
 

@@ -19,11 +19,11 @@
 //      join         -> every live shard that also holds probe clones
 //                           |
 //          round dispatcher (granularity-controlled)
-//        per round, a cluster-owned dpv::CostModel weighs the measured
-//        span of serving the sub-batches on the calling thread, in shard
-//        order, against fanning them out; a round with any failure-domain
-//        machinery armed (hedging, a replica fault injector, a deadline
-//        or subrequest budget) always fans out
+//        one learned constant decides per round: the calling thread serves
+//        it inline, or forks every sub-batch but the largest, which it
+//        keeps; a round with failure-domain machinery armed (hedging, a
+//        replica fault injector, a deadline or subrequest budget) always
+//        fans out in full
 //                           |
 //                async fan-out (deadline budgets)
 //        persistent pool, merge-on-arrival; a subrequest that outlives
@@ -244,7 +244,7 @@ struct ClusterMetrics {
 
   // Round dispatch split (non-empty rounds only).
   std::uint64_t inline_rounds = 0;  // served on the calling thread
-  std::uint64_t fanout_rounds = 0;  // fanned out to the dispatcher pool
+  std::uint64_t fanout_rounds = 0;  // forked to the dispatcher pool
 
   // Failure-domain accounting.
   std::uint64_t hedges_issued = 0;       // hedge jobs fired
@@ -410,18 +410,18 @@ class Cluster {
   }
 
   /// Gates every non-empty per-shard sub-batch through its replica's
-  /// breaker, then serves the round one of two ways.  A round with no
-  /// failure-domain machinery armed (no hedging, no replica fault
-  /// injector, no deadline or subrequest budget) asks `round_model_`: the
-  /// calling thread serves it inline, in shard order, or it fans out; its
-  /// wall-clock span trains the model.  Every other round fans out and is
-  /// never observed.  On return every slot is resolved (answered,
-  /// abandoned, or skipped).
+  /// breaker, then serves the round.  An unarmed round (no hedging, no
+  /// replica fault injector, no deadline or subrequest budget) forks iff
+  /// c x (routed - largest sub-batch) >= kappa, keeping the largest on the
+  /// calling thread, and otherwise runs inline in shard order; an armed
+  /// round fans out in full.  `CostModel::force()` overrides the rule (kSeq
+  /// inline, kDp fork).  On return every slot is resolved.
   void run_round(std::vector<std::vector<Request>>& sub, std::size_t round,
                  std::uint64_t batch_seq, std::vector<RoundSlot>& slots,
                  ClusterMetrics& delta);
-  /// Submits every staged primary to the dispatcher pool and waits --
-  /// merge-on-arrival with deadline budgets and hedging.
+  /// Submits every staged primary not marked `here` to the dispatcher
+  /// pool, serves the `here` ones on the calling thread (training c), then
+  /// waits -- merge-on-arrival with deadline budgets and hedging.
   void fan_out(std::vector<RoundSlot>& slots, ClusterMetrics& delta);
   void submit_job(const std::shared_ptr<SubJob>& job,
                   const std::shared_ptr<Waiter>& waiter);
@@ -446,13 +446,17 @@ class Cluster {
   std::vector<std::unique_ptr<QueryEngine>> backups_;  // empty unless hedging
   std::vector<std::unique_ptr<ReplicaState>> replica_state_;
 
-  // Async dispatcher.  Destroyed first in ~Cluster (explicitly), so no
-  // job can outlive the engines/indexes it references.
+  // Async dispatcher: armed rounds and the pool share of forked ones run
+  // here.  Destroyed first in ~Cluster (explicitly), so no job can
+  // outlive the engines/indexes it references.
   std::unique_ptr<dpv::AsyncPool> dispatch_pool_;
   std::atomic<std::uint64_t> batch_seq_{0};  // replica-fault scope coordinate
-  /// Inline-vs-fan-out round decision (kSeq = inline, kDp = fan-out).
-  /// Family = round number, group size = routed subrequests in the round.
-  dpv::CostModel round_model_;
+  /// kappa: twice AsyncPool::round_trip_us(), measured once per process,
+  /// so a fork's handoff costs at most half the work it moves off the
+  /// caller.
+  double fork_cost_us_ = 0.0;
+  /// c: the calling thread's CPU us per subrequest it serves itself (EMA).
+  std::atomic<double> cpu_per_sub_us_{0.0};
 
   // Mounted state, guarded by mount_mutex_ (serve() shared, mount()
   // exclusive -- the same discipline QueryEngine uses).  Heap storage so

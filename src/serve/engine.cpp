@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <chrono>
-#include <ctime>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -23,26 +22,6 @@ double ms_since(Clock::time_point t) {
 
 double us_since(Clock::time_point t) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t).count();
-}
-
-/// Observation clock for the dispatch cost model.  On an oversubscribed
-/// host a lane's wall-clock mostly measures preemption by its peer lanes,
-/// not the work, and the polluted coefficients lock the model into
-/// whatever policy it happened to warm up under.  Thread CPU time is
-/// scheduler-invariant: it prices the work itself, which is what dispatch
-/// minimizes (and on a saturated machine total work *is* wall-clock).
-/// Falls back to the wall clock where the POSIX thread clock is absent.
-double observe_clock_us() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) * 1e6 +
-           static_cast<double>(ts.tv_nsec) * 1e-3;
-  }
-#endif
-  return std::chrono::duration<double, std::micro>(
-             Clock::now().time_since_epoch())
-      .count();
 }
 
 /// The generation's annotations for `tree`, built on first use and rebuilt
@@ -212,7 +191,6 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   const auto base = snapshot_gen();
   const auto fail = [&](Status s) {
     out.status = s;
-    out.dirty.clear();
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++metrics_.update_failures;
     return std::move(out);
@@ -253,17 +231,8 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   for (const geom::LineId id : doomed) out.deleted += live_ids.count(id);
   out.unknown_deletes = doomed.size() - out.deleted;
   out.inserted = batch.inserts.size();
-
-  // Dirty region: MBRs of the removed geometry plus the inserted segments
-  // (what delta-scoped cache invalidation sweeps against).
-  for (const geom::Segment& s : live) {
-    if (doomed.count(s.id) != 0) out.dirty.push_back(s.bbox());
-  }
-  for (const geom::Segment& s : batch.inserts) out.dirty.push_back(s.bbox());
-
   if (out.inserted == 0 && out.deleted == 0) {
-    out.dirty.clear();  // nothing changed; nothing to invalidate
-    return out;         // kOk, gen = null: a no-op publishes nothing
+    return out;  // kOk, gen = null: a no-op publishes nothing
   }
 
   const bool fresh = base->quad == nullptr || base->quad->num_nodes() == 0;
@@ -318,10 +287,9 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   next->quad_opts = opts.build;
   next->rtree_opts = opts.rtree;
   // The R-tree has no update path: an updated generation keeps the base's
-  // capability as *stale* (lazily rebuilt on first use).  A generation
-  // grown from empty gets whatever UpdateOptions grants.
-  next->rtree_stale =
-      fresh ? opts.keep_rtree : base->has(IndexKind::kRTree);
+  // capability as *stale* (lazily rebuilt on first use), and a generation
+  // grown from empty always gets one.
+  next->rtree_stale = fresh || base->has(IndexKind::kRTree);
   next->deltas = fresh || compact ? 0 : base->deltas + batch.size();
   // The probe map is an independent operand of the join; updating the
   // base never detaches it.
@@ -463,7 +431,7 @@ void QueryEngine::run_group(const IndexGen& gen,
     // Attempt cost (marshaling included) feeds the dispatch cost model
     // when the attempt lands, priced in thread CPU time so peer-lane
     // preemption cannot skew the coefficients.
-    const double tattempt = observe_clock_us();
+    const double tattempt = thread_cpu_us();
     dpv::Context ctx = shard_template_.fork_serial();
     if (inj != nullptr) ctx.arm_fault_injection(inj, scope);
     // Persistent per-shard scratch arena: the pipeline's round scope
@@ -490,7 +458,7 @@ void QueryEngine::run_group(const IndexGen& gen,
     scratch.prims += ctx.counters();
 
     if (pipeline_ok) {
-      if (dp_us != nullptr) *dp_us = observe_clock_us() - tattempt;
+      if (dp_us != nullptr) *dp_us = thread_cpu_us() - tattempt;
       ++scratch.dp_groups;
       return;
     }
@@ -566,9 +534,9 @@ void QueryEngine::dispatch_group(const IndexGen& gen,
     return;
   }
   // A clean sweep (every request ran) is a measurement.
-  const double t = observe_clock_us();
+  const double t = thread_cpu_us();
   if (sweep() && observe) {
-    cost_model_.observe(shape, dpv::CostPath::kSeq, observe_clock_us() - t);
+    cost_model_.observe(shape, dpv::CostPath::kSeq, thread_cpu_us() - t);
   }
 }
 

@@ -127,9 +127,6 @@ struct PreparedUpdate {
   std::size_t inserted = 0;
   std::size_t deleted = 0;          // known ids removed
   std::size_t unknown_deletes = 0;  // delete ids with no live line
-  /// MBRs of the applied deltas (inserted segments + removed geometry):
-  /// the dirty region delta-scoped cache invalidation sweeps against.
-  std::vector<geom::Rect> dirty;
   /// The shadow generation; null when nothing needs publishing (a failed
   /// or no-op update).
   std::shared_ptr<IndexGen> gen;

@@ -1,7 +1,9 @@
 #include "serve/metrics.hpp"
 
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <ctime>
 
 namespace dps::serve {
 
@@ -101,6 +103,19 @@ ServeMetrics& ServeMetrics::operator+=(const ServeMetrics& other) {
   latency += other.latency;
   dpv::merge_snapshot(cost_model, other.cost_model);
   return *this;
+}
+
+double thread_cpu_us() {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec ts;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
+    return static_cast<double>(ts.tv_sec) * 1e6 +
+           static_cast<double>(ts.tv_nsec) * 1e-3;
+  }
+#endif
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace dps::serve

@@ -138,4 +138,9 @@ struct ServeMetrics {
   ServeMetrics& operator+=(const ServeMetrics& other);
 };
 
+/// The calling thread's CPU time in microseconds (wall clock where the
+/// POSIX thread clock is absent): the clock both dispatch decisions learn
+/// from, because it prices the work itself, not preemption by peers.
+double thread_cpu_us();
+
 }  // namespace dps::serve

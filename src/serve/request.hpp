@@ -141,11 +141,6 @@ struct UpdateOptions {
   core::PmrBuildOptions build;
   /// R-tree build options for the lazy R-tree rebuild.
   core::RtreeBuildOptions rtree;
-  /// Serving-matrix capability for a generation grown from an empty
-  /// engine: keep answering R-tree requests (via the lazy per-epoch
-  /// rebuild).  Generations evolved from a mounted engine always inherit
-  /// the capabilities it already served.
-  bool keep_rtree = true;
   /// Compaction trigger: once the deltas accumulated since the last full
   /// build exceed this, the update runs a from-scratch data-parallel
   /// rebuild of the surviving lines instead of an incremental

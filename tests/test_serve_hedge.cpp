@@ -4,9 +4,10 @@
 // everywhere: a replica that stalls, wedges, or crashes costs bounded
 // latency, never a wrong answer -- and seeded chaos replays
 // bit-identically across runs and engine backends.  Round dispatch: a
-// round served inline on the calling thread answers exactly as a fanned
-// out one, and a round with failure-domain machinery armed always fans
-// out.
+// round served inline on the calling thread answers exactly as a forked
+// one, a cold cluster serves small rounds inline and forks large ones
+// once trained, and a round with failure-domain machinery armed always
+// fans out.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/core.hpp"
@@ -556,7 +558,7 @@ std::vector<geom::Segment> rounds_probe() {
 }
 
 // The same seeded batch served with every round inline, every round
-// fanned out, and as the round model decides: identical answers, each
+// forked, and as the fork rule decides: identical answers, each
 // exact against the whole-map oracle, and the round counters show which
 // path ran.
 TEST(ClusterRounds, InlineAndFanOutAnswersAgree) {
@@ -658,6 +660,111 @@ TEST(ClusterRounds, FailureDomainRoundsAlwaysFanOut) {
   }
   EXPECT_GT(inject.replica_stall_count(), 0u)
       << "the injector must actually have stalled subrequests";
+}
+
+/// About 2000 small windows on a 45 x 45 grid over the whole map, both
+/// trees: every shard routes roughly a quarter of them.
+std::vector<Request> grid_windows() {
+  std::vector<Request> batch;
+  for (int i = 0; i < 45; ++i) {
+    for (int j = 0; j < 45; ++j) {
+      const double x = 22.0 * i, y = 22.0 * j;
+      batch.push_back(Request::window_query(
+          (i + j) % 2 == 0 ? IndexKind::kQuadTree : IndexKind::kRTree,
+          {x, y, x + 30.0, y + 30.0}));
+    }
+  }
+  return batch;
+}
+
+// Unforced, a cold cluster has learned no per-subrequest cost, so its
+// first round stays on the calling thread.  Once one batch has trained
+// it, a round of ~2000 windows over all four shards moves enough work off
+// the calling thread to fork -- and the shard the calling thread serves
+// itself completes on its replica's ledger like the pool-served ones.
+TEST(ClusterRounds, SmallRoundsStayInlineLargeRoundsFork) {
+  const auto lines = data::uniform_segments(300, kWorld, 22.0, 910);
+  Oracle oracle(lines);
+  const DispatchForceScope force(kUnforced);
+  serve::Cluster cluster(base_options(4));
+  cluster.mount(lines, mount_options());
+
+  const std::vector<Request> one = {Request::window_query(
+      IndexKind::kQuadTree, {100.0, 100.0, 180.0, 160.0})};
+  const auto small = cluster.serve(one);
+  expect_exact(one[0], small[0], oracle, 0, "one-request");
+  ClusterMetrics m = cluster.metrics();
+  EXPECT_EQ(m.inline_rounds, 1u);
+  EXPECT_EQ(m.fanout_rounds, 0u);
+
+  const auto windows = grid_windows();
+  const auto trained = cluster.serve(windows);
+  cluster.reset_metrics();
+  const auto large = cluster.serve(windows);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    expect_exact(windows[i], trained[i], oracle, i, "training");
+    expect_exact(windows[i], large[i], oracle, i, "large");
+  }
+  m = cluster.metrics();
+  EXPECT_GE(m.fanout_rounds, 1u);
+  ASSERT_EQ(m.replicas.size(), 4u);
+  for (const ReplicaHealth& h : m.replicas) {
+    EXPECT_GE(h.subrequests, 2u) << "both grid batches route to every shard";
+    EXPECT_EQ(h.completed, h.subrequests) << "replica " << h.replica;
+  }
+}
+
+// Two clients serve through one cluster with every round forked.  Their
+// batches lean towards opposite corners of the map, so each client's
+// calling thread keeps a different shard while the other client's pool
+// job serves that same shard's engine: concurrent serves of one replica
+// from both paths, every answer exact.
+TEST(ClusterRounds, TwoClientsShareForkedRounds) {
+  const auto lines = data::uniform_segments(300, kWorld, 22.0, 911);
+  Oracle oracle(lines);
+  const DispatchForceScope force(kFanOut);
+  serve::Cluster cluster(base_options(4));
+  cluster.mount(lines, mount_options());
+
+  const auto leaning = [&](double cx, double cy) {
+    std::vector<Request> batch = mixed_batch(lines, 24);
+    for (int i = 0; i < 40; ++i) {
+      const double x = cx + 20.0 * (i % 8), y = cy + 20.0 * (i / 8);
+      batch.push_back(Request::window_query(
+          i % 2 == 0 ? IndexKind::kQuadTree : IndexKind::kRTree,
+          {x, y, x + 25.0, y + 25.0}));
+    }
+    return batch;
+  };
+  const std::vector<Request> batches[2] = {leaning(40.0, 40.0),
+                                           leaning(700.0, 700.0)};
+  constexpr std::size_t kIters = 12;
+  std::vector<std::vector<Response>> got[2];
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t it = 0; it < kIters; ++it) {
+        got[c].push_back(cluster.serve(batches[c]));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(got[c].size(), kIters);
+    for (const auto& rsps : got[c]) {
+      for (std::size_t i = 0; i < batches[c].size(); ++i) {
+        expect_exact(batches[c][i], rsps[i], oracle, i,
+                     c == 0 ? "client 0" : "client 1");
+      }
+    }
+  }
+  const ClusterMetrics m = cluster.metrics();
+  EXPECT_EQ(m.inline_rounds, 0u);
+  EXPECT_GE(m.fanout_rounds, 2 * kIters);
+  for (const ReplicaHealth& h : m.replicas) {
+    EXPECT_EQ(h.completed, h.subrequests) << "replica " << h.replica;
+  }
 }
 
 }  // namespace

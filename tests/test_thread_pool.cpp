@@ -177,6 +177,23 @@ TEST(AsyncPool, ZeroThreadsClampsToOne) {
   EXPECT_TRUE(ran.load());
 }
 
+// The measured handoff is a positive, sub-second wall time, and the pool
+// keeps serving jobs after its probe trips.
+TEST(AsyncPool, RoundTripIsMeasuredAndPoolStillServes) {
+  AsyncPool pool(2);
+  const double rt = pool.round_trip_us();
+  EXPECT_GT(rt, 0.0);
+  EXPECT_LT(rt, 1e6);
+  std::atomic<bool> ran{false};
+  pool.submit([&] { ran.store(true); });
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!ran.load() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_TRUE(ran.load());
+}
+
 // The destructor discards jobs still waiting in the queue and only joins
 // the running ones -- a wedged-looking job that polls stopping() cannot
 // wedge shutdown, and nothing queued behind it ever starts.
