@@ -131,17 +131,14 @@ AxisSplit mean_split_axis(dpv::Context& ctx, const dpv::Vec<geom::Rect>& boxes,
 AxisSplit sweep_split_axis(dpv::Context& ctx,
                            const dpv::Vec<geom::Rect>& boxes,
                            const dpv::Flags& seg, const GroupGeometry& gg,
-                           std::size_t m, std::size_t M, int axis) {
+                           std::size_t m, std::size_t M,
+                           const SweepRange& range, int axis) {
   const std::size_t n = boxes.size();
   // Sort each group by the bbox minimum on this axis.
-  double lo_all = kInf, hi_all = -kInf;
-  dpv::Vec<double> minc = dpv::map(ctx, boxes, [axis](const geom::Rect& b) {
-    return axis == 0 ? b.xmin : b.ymin;
-  });
-  lo_all = dpv::reduce(ctx, dpv::Min<double>{}, minc);
-  hi_all = dpv::reduce(ctx, dpv::Max<double>{}, minc);
-  dpv::Vec<std::uint32_t> key = dpv::map(ctx, minc, [&](double v) {
-    return dpv::quantize32(v, lo_all, hi_all);
+  const double lo_all = range.lo[axis];
+  const double hi_all = range.hi[axis];
+  dpv::Vec<std::uint32_t> key = dpv::map(ctx, boxes, [&](const geom::Rect& b) {
+    return dpv::quantize32(axis == 0 ? b.xmin : b.ymin, lo_all, hi_all);
   });
   dpv::Index order = dpv::seg_sort_indices(ctx, key, seg);
   dpv::Vec<geom::Rect> sorted = dpv::gather(ctx, boxes, order);
@@ -189,11 +186,24 @@ AxisSplit sweep_split_axis(dpv::Context& ctx,
 
 }  // namespace
 
+SweepRange sweep_range(dpv::Context& ctx, const dpv::Vec<geom::Rect>& boxes) {
+  SweepRange r;
+  for (int axis = 0; axis < 2; ++axis) {
+    dpv::Vec<double> minc = dpv::map(ctx, boxes, [axis](const geom::Rect& b) {
+      return axis == 0 ? b.xmin : b.ymin;
+    });
+    r.lo[axis] = dpv::reduce(ctx, dpv::Min<double>{}, minc);
+    r.hi[axis] = dpv::reduce(ctx, dpv::Max<double>{}, minc);
+  }
+  return r;
+}
+
 RtreeSplitResult rtree_split(dpv::Context& ctx,
                              const dpv::Vec<geom::Rect>& boxes,
                              const dpv::Flags& seg,
                              const dpv::Flags& elem_overflow, std::size_t m,
-                             std::size_t M, RtreeSplitAlgo algo) {
+                             std::size_t M, RtreeSplitAlgo algo,
+                             const SweepRange* range) {
   const std::size_t n = boxes.size();
   const GroupGeometry gg = group_geometry(ctx, seg);
 
@@ -202,8 +212,9 @@ RtreeSplitResult rtree_split(dpv::Context& ctx,
     x = mean_split_axis(ctx, boxes, seg, gg, 0);
     y = mean_split_axis(ctx, boxes, seg, gg, 1);
   } else {
-    x = sweep_split_axis(ctx, boxes, seg, gg, m, M, 0);
-    y = sweep_split_axis(ctx, boxes, seg, gg, m, M, 1);
+    const SweepRange r = range != nullptr ? *range : sweep_range(ctx, boxes);
+    x = sweep_split_axis(ctx, boxes, seg, gg, m, M, r, 0);
+    y = sweep_split_axis(ctx, boxes, seg, gg, m, M, r, 1);
   }
 
   // Per group: pick the axis with the smaller resulting overlap among the
