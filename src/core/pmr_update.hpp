@@ -44,8 +44,11 @@ QuadBuildResult pmr_delete(dpv::Context& ctx, const QuadTree& tree,
                            const PmrBuildOptions& opts);
 
 /// The build's split loop, exposed for reuse by pmr_insert: repeatedly
-/// splits every bucket over capacity (below the depth cap) starting from an
-/// arbitrary line set.  Appends per-round statistics to `res`.
+/// splits every bucket over capacity (below the depth cap) starting from a
+/// line set in canonical group order.  Groups that stop splitting retire
+/// from the processor set, so later rounds touch only the splitting ones;
+/// `ls` comes back whole, in canonical order.  Appends per-round statistics
+/// (retired groups still counted) to `res`.
 void pmr_split_rounds(dpv::Context& ctx, prim::LineSet& ls,
                       const PmrBuildOptions& opts, QuadBuildResult& res);
 
