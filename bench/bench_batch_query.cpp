@@ -300,54 +300,50 @@ int main(int argc, char** argv) {
 
   // Sequential baselines through the same rep/percentile harness, so the
   // JSON records the dp-vs-sequential p50 comparison at the engine batch
-  // size (512).  `candidates` for these series is the total hit count.
+  // size (512).  `candidates` counts the stored entries the descents
+  // tested (QueryStats::segments_tested), as the dp series count theirs;
+  // it is taken in one extra untimed pass, so the timed reps stay as they
+  // were.
   struct Hits {
     std::size_t candidates = 0;
   };
-  series.push_back(measure("seq_window_pmr", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& w : windows) h.candidates += core::window_query(pmr, w).size();
-    return h;
-  }));
-  series.push_back(measure("seq_window_rtree", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& w : windows) h.candidates += core::window_query(rtree, w).size();
-    return h;
-  }));
-  series.push_back(measure("seq_window_lqt", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& w : windows) h.candidates += lqt.window_query(w).size();
-    return h;
-  }));
-  series.push_back(measure("seq_point_pmr", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& p : points) h.candidates += core::point_query(pmr, p).size();
-    return h;
-  }));
-  series.push_back(measure("seq_point_rtree", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& p : points) {
-      h.candidates += core::point_query(rtree, p).size();
-    }
-    return h;
-  }));
-  series.push_back(measure("seq_point_lqt", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& p : points) h.candidates += lqt.point_query(p).size();
-    return h;
-  }));
-  series.push_back(measure("seq_knn_pmr", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& p : points) h.candidates += core::k_nearest(pmr, p, knn_k).size();
-    return h;
-  }));
-  series.push_back(measure("seq_knn_rtree", false, q, [&](dpv::Context&) {
-    Hits h;
-    for (const auto& p : points) {
-      h.candidates += core::k_nearest(rtree, p, knn_k).size();
-    }
-    return h;
-  }));
+  const auto seq_series = [&](const char* name, const auto& queries,
+                              auto&& query) {
+    Series s = measure(name, false, q, [&](dpv::Context&) {
+      Hits h;
+      for (const auto& x : queries) h.candidates += query(x, nullptr).size();
+      return h;
+    });
+    core::QueryStats st;
+    for (const auto& x : queries) query(x, &st);
+    s.candidates = st.segments_tested;
+    series.push_back(std::move(s));
+  };
+  using Stats = core::QueryStats*;
+  seq_series("seq_window_pmr", windows, [&](const geom::Rect& w, Stats st) {
+    return core::window_query(pmr, w, st);
+  });
+  seq_series("seq_window_rtree", windows, [&](const geom::Rect& w, Stats st) {
+    return core::window_query(rtree, w, st);
+  });
+  seq_series("seq_window_lqt", windows, [&](const geom::Rect& w, Stats st) {
+    return lqt.window_query(w, st);
+  });
+  seq_series("seq_point_pmr", points, [&](const geom::Point& p, Stats st) {
+    return core::point_query(pmr, p, st);
+  });
+  seq_series("seq_point_rtree", points, [&](const geom::Point& p, Stats st) {
+    return core::point_query(rtree, p, st);
+  });
+  seq_series("seq_point_lqt", points, [&](const geom::Point& p, Stats st) {
+    return lqt.point_query(p, st);
+  });
+  seq_series("seq_knn_pmr", points, [&](const geom::Point& p, Stats st) {
+    return core::k_nearest(pmr, p, knn_k, st);
+  });
+  seq_series("seq_knn_rtree", points, [&](const geom::Point& p, Stats st) {
+    return core::k_nearest(rtree, p, knn_k, st);
+  });
 
   std::printf("\n== arena A/B, %zu queries per batch ==\n", q);
   std::printf("%-14s %8s %12s %12s %14s\n", "pipeline", "arena", "p50(ns/q)",

@@ -32,7 +32,7 @@ using Queue = std::priority_queue<Entry, std::vector<Entry>, std::greater<>>;
 
 template <typename ExpandNode>
 std::vector<Neighbor> best_first(Queue& queue, std::size_t k,
-                                 ExpandNode&& expand) {
+                                 QueryStats* stats, ExpandNode&& expand) {
   std::vector<Neighbor> out;
   std::unordered_set<geom::LineId> reported;
   while (!queue.empty() && out.size() < k) {
@@ -43,6 +43,7 @@ std::vector<Neighbor> best_first(Queue& queue, std::size_t k,
       if (reported.insert(e.id).second) out.push_back({e.id, e.d2});
       continue;
     }
+    if (stats != nullptr) ++stats->nodes_visited;
     expand(e.node, queue);
   }
   return out;
@@ -51,14 +52,15 @@ std::vector<Neighbor> best_first(Queue& queue, std::size_t k,
 }  // namespace
 
 std::vector<Neighbor> k_nearest(const QuadTree& tree, const geom::Point& q,
-                                std::size_t k) {
+                                std::size_t k, QueryStats* stats) {
   if (tree.num_nodes() == 0 || k == 0) return {};
   Queue queue;
   queue.push({tree.root().block.rect(tree.world()).distance2(q), false, 0, 0});
-  return best_first(queue, k, [&](std::int32_t n, Queue& pq) {
+  return best_first(queue, k, stats, [&](std::int32_t n, Queue& pq) {
     const QuadTree::Node& nd = tree.nodes()[n];
     if (nd.is_leaf) {
       const auto [first, last] = tree.leaf_edges(nd);
+      if (stats != nullptr) stats->segments_tested += last - first;
       for (const geom::Segment* s = first; s != last; ++s) {
         pq.push({geom::distance2_point_segment(q, s->a, s->b), true, 0,
                  s->id});
@@ -74,13 +76,14 @@ std::vector<Neighbor> k_nearest(const QuadTree& tree, const geom::Point& q,
 }
 
 std::vector<Neighbor> k_nearest(const RTree& tree, const geom::Point& q,
-                                std::size_t k) {
+                                std::size_t k, QueryStats* stats) {
   if (tree.empty() || k == 0) return {};
   Queue queue;
   queue.push({tree.root().mbr.distance2(q), false, 0, 0});
-  return best_first(queue, k, [&](std::int32_t n, Queue& pq) {
+  return best_first(queue, k, stats, [&](std::int32_t n, Queue& pq) {
     const RTree::Node& nd = tree.nodes()[n];
     if (nd.is_leaf) {
+      if (stats != nullptr) stats->segments_tested += nd.num_entries;
       for (std::uint32_t i = 0; i < nd.num_entries; ++i) {
         const geom::Segment& s = tree.entries()[nd.first_entry + i];
         pq.push({geom::distance2_point_segment(q, s.a, s.b), true, 0, s.id});

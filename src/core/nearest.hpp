@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/query.hpp"
 #include "core/quadtree.hpp"
 #include "core/rtree.hpp"
 #include "geom/geom.hpp"
@@ -19,11 +20,12 @@ struct Neighbor {
   double distance2;  // squared Euclidean distance to the segment
 };
 
-/// The k lines nearest to `q`, nearest first (ties by id).
+/// The k lines nearest to `q`, nearest first (ties by id).  `stats`
+/// counts the nodes expanded and the stored lines whose distance was taken.
 std::vector<Neighbor> k_nearest(const QuadTree& tree, const geom::Point& q,
-                                std::size_t k);
+                                std::size_t k, QueryStats* stats = nullptr);
 
 std::vector<Neighbor> k_nearest(const RTree& tree, const geom::Point& q,
-                                std::size_t k);
+                                std::size_t k, QueryStats* stats = nullptr);
 
 }  // namespace dps::core

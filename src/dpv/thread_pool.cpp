@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <exception>
+#include <system_error>
 
 namespace dps::dpv {
 
@@ -88,6 +90,43 @@ void ThreadPool::worker_loop(std::size_t lane) {
       if (--outstanding_ == 0) done_cv_.notify_one();
     }
   }
+}
+
+void fork_join(std::size_t n, const std::function<void(std::size_t)>& task) {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  if (n <= 1 || hw <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    while (!failed.load(std::memory_order_acquire)) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        task(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (error == nullptr) error = std::current_exception();
+        failed.store(true, std::memory_order_release);
+      }
+    }
+  };
+  const std::size_t lanes = std::min(n, hw);
+  std::vector<std::thread> helpers;
+  helpers.reserve(lanes - 1);
+  try {
+    while (helpers.size() + 1 < lanes) helpers.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // Out of threads: the caller and the helpers already started drain
+    // every task between them.
+  }
+  drain();
+  for (std::thread& t : helpers) t.join();
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 AsyncPool::AsyncPool(std::size_t num_threads) {

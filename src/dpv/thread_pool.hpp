@@ -81,6 +81,21 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs `task(i)` for every `i in [0, n)` -- independent tasks, typically
+/// of unequal size -- and returns when all have finished.  Runs them
+/// inline, in index order, when `n <= 1` or the host reports at most one
+/// hardware thread.  Otherwise the calling thread and up to
+/// `min(n, hardware_concurrency()) - 1` short-lived helper threads claim
+/// indexes in order from a shared cursor, so listing the largest tasks
+/// first keeps the longest one off the end of the schedule.  Once a task
+/// throws no further task starts, and the first exception is rethrown
+/// after every started task has finished.
+///
+/// Helpers are created per call and run at default scheduling priority;
+/// callers are the rare, heavy build paths (mount, shadow updates), never
+/// the serving fan-out, which has its own pools.
+void fork_join(std::size_t n, const std::function<void(std::size_t)>& task);
+
 /// Persistent submit-and-forget worker pool for async fan-out.
 ///
 /// Unlike the fork-join ThreadPool above there is no join: `submit`

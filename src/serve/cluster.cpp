@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <limits>
 #include <list>
+#include <numeric>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -344,19 +345,30 @@ void Cluster::mount_probe(const std::vector<geom::Segment>& lines) {
 std::unique_ptr<std::vector<Cluster::ShardIndexes>> Cluster::build_slices(
     const core::ShardedSegments& sharded,
     const ClusterMountOptions& mo) const {
-  dpv::Context ctx;  // serial: deterministic builds
-  const auto build = [&](const std::vector<geom::Segment>& slice,
-                         ShardIndexes& out) {
-    core::PmrBuildOptions po = mo.quad;
-    po.world = mo.world;
-    out.quad = core::pmr_build(ctx, slice, po).tree;
-    out.rtree = core::rtree_build(ctx, slice, mo.rtree).tree;
-    out.empty = false;
-  };
+  // One fork_join task per (shard, index), each on its own serial Context
+  // (so every tree is byte-identical to a serial build), largest shard
+  // first: the slowest build bounds the mount, so it starts first.
   auto built = std::make_unique<std::vector<ShardIndexes>>(shards_);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    if (!sharded.shards[s].empty()) build(sharded.shards[s], (*built)[s]);
-  }
+  std::vector<std::size_t> order(shards_);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sharded.shards[a].size() > sharded.shards[b].size();
+                   });
+  core::PmrBuildOptions po = mo.quad;
+  po.world = mo.world;
+  dpv::fork_join(2 * shards_, [&](std::size_t task) {
+    const std::vector<geom::Segment>& slice = sharded.shards[order[task / 2]];
+    ShardIndexes& out = (*built)[order[task / 2]];
+    if (slice.empty()) return;  // sorted last; stays `empty`
+    dpv::Context ctx;
+    if (task % 2 == 0) {
+      out.quad = core::pmr_build(ctx, slice, po).tree;
+      out.empty = false;
+    } else {
+      out.rtree = core::rtree_build(ctx, slice, mo.rtree).tree;
+    }
+  });
   return built;
 }
 
@@ -495,40 +507,21 @@ UpdateResult Cluster::apply_update(const UpdateBatch& batch) {
     std::size_t shard;
     PreparedUpdate prep;
   };
-  // Shadow builds fan out data-parallel across the affected shards: each
-  // engine prepares (and warms) its own generation on a worker thread, so
-  // the cross-shard prepare cost is the slowest shard's, not the sum.
-  // Engines are independent objects with engine-local locks, so the only
-  // join point is the all-or-nothing status check below.
+  // Shadow builds fork across the affected shards by dpv::fork_join's rule;
+  // engines lock independently, so the prepare costs the slowest shard's.
   std::vector<ShardPrep> preps;
   preps.reserve(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {
     if (shard_inserts[s].empty() && shard_deletes[s].empty()) continue;
     preps.push_back({s, {}});
   }
-  {
-    const auto prep_one = [this, &shard_inserts, &shard_deletes,
-                           &uo](ShardPrep& sp) {
-      UpdateBatch sub;
-      sub.inserts = std::move(shard_inserts[sp.shard]);
-      sub.deletes = std::move(shard_deletes[sp.shard]);
-      sp.prep = engines_[sp.shard]->prepare_update(sub, uo);
-    };
-    // Worker threads run at default scheduling policy, so a caller that
-    // demoted itself (e.g. a background maintenance thread on a shared
-    // host) must not fan out -- the workers would outrank the read path.
-    // Inline on a single hardware thread; fan out otherwise.
-    if (preps.size() <= 1 || std::thread::hardware_concurrency() <= 1) {
-      for (ShardPrep& sp : preps) prep_one(sp);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(preps.size());
-      for (ShardPrep& sp : preps) {
-        workers.emplace_back([&prep_one, &sp] { prep_one(sp); });
-      }
-      for (std::thread& w : workers) w.join();
-    }
-  }
+  dpv::fork_join(preps.size(), [&](std::size_t i) {
+    ShardPrep& sp = preps[i];
+    UpdateBatch sub;
+    sub.inserts = std::move(shard_inserts[sp.shard]);
+    sub.deletes = std::move(shard_deletes[sp.shard]);
+    sp.prep = engines_[sp.shard]->prepare_update(sub, uo);
+  });
   for (const ShardPrep& sp : preps) {
     if (!sp.prep.ok()) return fail(sp.prep.status);
   }

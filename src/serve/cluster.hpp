@@ -288,8 +288,9 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Shards `lines` over the k-way plan of [0, world]^2, builds every
-  /// non-empty shard's quadtree and R-tree, and mounts them on that
-  /// shard's replica (and its backup when hedging is on).
+  /// non-empty shard's quadtree and R-tree side by side (dpv::fork_join),
+  /// and mounts them on that shard's replica (and its backup when hedging
+  /// is on).  A build that throws rethrows here, before anything swaps.
   /// Serializes against in-flight serve() calls (exclusive mount lock)
   /// and advances the cache epoch, so no answer computed against the
   /// previous map survives the remount.
@@ -389,7 +390,7 @@ class Cluster {
   /// Long-lived per-replica state: latency ledger, breaker, counters.
   struct ReplicaState;
 
-  /// Builds every non-empty slice of `sharded`.
+  /// Builds every non-empty slice of `sharded` concurrently (see mount).
   std::unique_ptr<std::vector<ShardIndexes>> build_slices(
       const core::ShardedSegments& sharded,
       const ClusterMountOptions& mo) const;

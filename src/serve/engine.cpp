@@ -261,28 +261,7 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
         dpv::FaultInjector::scope(seq, 0, 0xD17Aull /* delta */));
   }
 
-  core::QuadBuildResult built;
-  if (fresh || compact) {
-    built = core::pmr_build(ctx, *next_lines, opts.build);
-    out.compacted = !fresh;
-  } else if (batch.deletes.empty()) {
-    built = core::pmr_insert(ctx, *base->quad, batch.inserts, opts.build);
-  } else {
-    built = core::pmr_delete(ctx, *base->quad, batch.deletes, opts.build);
-    if (!batch.inserts.empty()) {
-      built = core::pmr_insert(ctx, built.tree, batch.inserts, opts.build);
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    session_.merge_counters(ctx.counters());  // failed attempts worked too
-  }
-
-  if (ctx.fault_pending()) return fail(Status::kRejected);
-
   auto next = std::make_shared<IndexGen>();
-  next->quad = std::make_shared<const core::QuadTree>(std::move(built.tree));
   next->lines = std::move(next_lines);
   next->quad_opts = opts.build;
   next->rtree_opts = opts.rtree;
@@ -295,13 +274,39 @@ PreparedUpdate QueryEngine::do_prepare(const UpdateBatch& batch,
   // base never detaches it.
   next->probe_quad = base->probe_quad;
   next->probe_rtree = base->probe_rtree;
-  // Warm the stale R-tree while the generation is still a private shadow:
-  // the update thread absorbs the rebuild so the first reader after the
-  // swap never blocks on the lazy mutex.
+  // Two independent tasks: the PMR delta, and warming the stale R-tree
+  // from the new line set while the generation is still a private shadow
+  // -- the update thread absorbs the rebuild so the first reader after
+  // the swap never blocks on the lazy mutex.
   const GenView view{*next, *this};
+  core::QuadBuildResult built;
+  dpv::fork_join(2, [&](std::size_t task) {
+    if (task == 1) {
+      view.rtree();
+    } else if (fresh || compact) {
+      built = core::pmr_build(ctx, *next->lines, opts.build);
+    } else if (batch.deletes.empty()) {
+      built = core::pmr_insert(ctx, *base->quad, batch.inserts, opts.build);
+    } else {
+      built = core::pmr_delete(ctx, *base->quad, batch.deletes, opts.build);
+      if (!batch.inserts.empty()) {
+        built = core::pmr_insert(ctx, built.tree, batch.inserts, opts.build);
+      }
+    }
+  });
+  out.compacted = compact;
+
+  {
+    std::lock_guard<std::mutex> lock(metrics_mutex_);
+    session_.merge_counters(ctx.counters());  // failed attempts worked too
+  }
+
+  if (ctx.fault_pending()) return fail(Status::kRejected);
+
+  next->quad = std::make_shared<const core::QuadTree>(std::move(built.tree));
+  // Warm the aggregate annotations only where the base had them: warming
+  // follows observed aggregate traffic, it does not anticipate it.
   const core::RTree* rtree = view.rtree();
-  // Same for the aggregate annotations, but only where the base had them:
-  // warming follows observed aggregate traffic, it does not anticipate it.
   if (base->quad_agg.ready() != nullptr) view.agg(*next->quad);
   if (base->rtree_agg.ready() != nullptr && rtree) view.agg(*rtree);
   out.gen = std::move(next);

@@ -77,8 +77,9 @@
 //     own their indexes (shared_ptr), so publication never waits for
 //     readers: the old generation is freed when its last pinner drops it.
 //     The R-tree has no update path; an updated generation marks it
-//     stale and rebuilds it lazily on first use within that generation
-//     (recorded in metrics), keeping the serving matrix complete.  Accumulated deltas past
+//     stale and rebuilds it from the new lines beside the PMR delta
+//     (dpv::fork_join; counted as a lazy rebuild), keeping the serving
+//     matrix complete.  Accumulated deltas past
 //     `UpdateOptions::compact_after` trigger a full data-parallel rebuild
 //     of the surviving lines -- byte-identical to the incremental result
 //     by the bucket PMR's history-independence -- which resets the delta
@@ -249,6 +250,9 @@ class QueryEngine {
   /// cannot answer the (kind, index) combination.
   Status run_oracle(const Request& rq, Response& rsp) const;
 
+  /// Pins the current generation (one shared_ptr copy under gen_mutex_).
+  std::shared_ptr<const IndexGen> snapshot_gen() const;
+
   /// Leaf-decomposition fingerprint of the current generation's quadtree
   /// ("" when none is mounted) -- how the differential suite asserts
   /// update-vs-rebuild history-independence at serve scope.
@@ -381,8 +385,6 @@ class QueryEngine {
   /// Deterministic backoff sleep before dp attempt `attempt` of `shard`.
   void backoff(std::size_t shard, std::size_t attempt) const;
 
-  /// Pins the current generation (one shared_ptr copy under gen_mutex_).
-  std::shared_ptr<const IndexGen> snapshot_gen() const;
   /// Swaps in `next` and advances the mount epoch; returns the new epoch.
   /// When `park` is set the replaced generation is retired on the writer
   /// side (RCU-style reclamation: the reader that unpins a generation

@@ -23,9 +23,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -176,9 +178,11 @@ enum class Route : std::uint8_t {
   kProbeShards,  // every live shard that also holds probe clones
 };
 
-/// Sequential (host traversal) answer for one request.
+/// Sequential (host traversal) answer for one request.  A table slot
+/// binds one by reference: never null, and no default.
 using SeqFn = Status (*)(const GenView& gen, const Request& rq,
                          Response& rsp);
+using SeqKernel = std::reference_wrapper<std::remove_pointer_t<SeqFn>>;
 /// One data-parallel attempt over `batch[live]`: settles those responses
 /// kOk and returns true, or returns false when the pipeline aborted (an
 /// injected fault or a fired control) and nothing may be trusted.
@@ -208,7 +212,7 @@ struct KindOps {
   /// Copies the kind's payload field from `src` (a cache entry, or the
   /// answer filling one) into `dst`.
   void (*take)(Response& dst, const Response& src);
-  std::array<SeqFn, kNumIndexes> run_seq;
+  std::array<SeqKernel, kNumIndexes> run_seq;
   std::array<DpFn, kNumIndexes> run_dp;
   double StageTimes::*stage;              // group wall-clock slot
   std::uint64_t ServeMetrics::*requests;  // request-mix counter
@@ -220,7 +224,7 @@ struct KindOps {
   bool one_per_group = false;
 
   SeqFn seq(IndexKind index) const noexcept {
-    return run_seq[static_cast<std::size_t>(index)];
+    return &run_seq[static_cast<std::size_t>(index)].get();
   }
   DpFn dp(IndexKind index) const noexcept {
     return run_dp[static_cast<std::size_t>(index)];

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,50 +18,17 @@
 #include "core/rtree_build.hpp"
 #include "core/shard_segments.hpp"
 #include "data/mapgen.hpp"
+#include "tree_fingerprint.hpp"
 
 namespace dps::core {
 namespace {
 
+using test::add_tree;
+using test::Fnv;
+
 constexpr double kWorld = 4096.0;
 constexpr std::size_t kMapLines = 6000;
 constexpr std::size_t kInserted = 50;
-
-class Fnv {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 1099511628211ull;
-    }
-  }
-  void add(double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    add(bits);
-  }
-  void add(const geom::Rect& r) {
-    add(r.xmin);
-    add(r.ymin);
-    add(r.xmax);
-    add(r.ymax);
-  }
-  void add(const geom::Segment& s) {
-    add(s.a.x);
-    add(s.a.y);
-    add(s.b.x);
-    add(s.b.y);
-    add(std::uint64_t{s.id});
-  }
-  std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
 
 void add_quad(Fnv& f, const QuadBuildResult& r) {
   f.add(std::uint64_t{r.rounds});
@@ -74,18 +39,7 @@ void add_quad(Fnv& f, const QuadBuildResult& r) {
     f.add(std::uint64_t{br.nodes_split});
     f.add(std::uint64_t{br.clones_made});
   }
-  for (const QuadTree::Node& nd : r.tree.nodes()) {
-    f.add(std::uint64_t{nd.block.depth});
-    f.add(std::uint64_t{nd.block.ix});
-    f.add(std::uint64_t{nd.block.iy});
-    for (const std::int32_t c : nd.child) {
-      f.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(c)));
-    }
-    f.add(std::uint64_t{nd.is_leaf});
-    f.add(std::uint64_t{nd.first_edge});
-    f.add(std::uint64_t{nd.num_edges});
-  }
-  for (const geom::Segment& s : r.tree.edges()) f.add(s);
+  add_tree(f, r.tree);
 }
 
 void add_rtree(Fnv& f, const RtreeBuildResult& r) {
@@ -96,16 +50,7 @@ void add_rtree(Fnv& f, const RtreeBuildResult& r) {
     f.add(std::uint64_t{br.leaves});
     f.add(std::uint64_t{br.levels});
   }
-  f.add(static_cast<std::uint64_t>(r.tree.height()));
-  for (const RTree::Node& nd : r.tree.nodes()) {
-    f.add(nd.mbr);
-    f.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(nd.first_child)));
-    f.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(nd.num_children)));
-    f.add(std::uint64_t{nd.first_entry});
-    f.add(std::uint64_t{nd.num_entries});
-    f.add(std::uint64_t{nd.is_leaf});
-  }
-  for (const geom::Segment& s : r.tree.entries()) f.add(s);
+  add_tree(f, r.tree);
 }
 
 // Both maps, each whole and then as its four shard slices.

@@ -7,18 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
 #include "data/data.hpp"
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
+#include "serve/kinds.hpp"
 #include "test_util.hpp"
+#include "tree_fingerprint.hpp"
 
 namespace dps {
 namespace {
@@ -461,6 +465,82 @@ TEST(ClusterConcurrency, ConcurrentServesStayExact) {
   const serve::ClusterMetrics m = cluster.metrics();
   EXPECT_EQ(m.requests, kThreads * kBatches * 60);
   EXPECT_EQ(m.ok, m.requests);
+}
+
+// Mount builds every shard's two indexes side by side, one fork_join task
+// each on its own serial context: every replica -- primary and hedge
+// backup -- must hold exactly the trees a serial build of its shard slice
+// makes, for shard counts that leave the schedule uneven.
+TEST(ClusterMount, ConcurrentBuildsMatchSerial) {
+  const std::vector<std::pair<const char*, std::vector<geom::Segment>>> maps{
+      {"roads", data::hierarchical_roads(1200, kWorld, 81)},
+      {"clustered", data::clustered_segments(1200, 5, kWorld / 30.0, kWorld,
+                                             12.0, 82)}};
+  const serve::ClusterMountOptions mo = mount_options();
+  core::PmrBuildOptions po = mo.quad;
+  po.world = mo.world;
+  for (const auto& [name, lines] : maps) {
+    for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+      serve::ClusterOptions co = cluster_options(shards, false);
+      co.hedge.enabled = true;
+      serve::Cluster cluster(co);
+      cluster.mount(lines, mo);
+      const core::ShardedSegments sharded = core::shard_segments(
+          lines, geom::Rect{0.0, 0.0, kWorld, kWorld}, shards);
+      for (std::size_t s = 0; s < shards; ++s) {
+        SCOPED_TRACE(std::string(name) + ", " + std::to_string(shards) +
+                     " shards, shard " + std::to_string(s));
+        const std::vector<geom::Segment>& slice = sharded.shards[s];
+        dpv::Context ctx;
+        const core::QuadTree quad = core::pmr_build(ctx, slice, po).tree;
+        const core::RTree rtree = core::rtree_build(ctx, slice, mo.rtree).tree;
+        const std::array<const serve::QueryEngine*, 2> replicas{
+            &cluster.engine(s), cluster.backup(s)};
+        for (const serve::QueryEngine* eng : replicas) {
+          ASSERT_NE(eng, nullptr);
+          const auto gen = eng->snapshot_gen();
+          if (slice.empty()) {
+            EXPECT_EQ(gen->quad, nullptr);
+            EXPECT_EQ(gen->rtree.ready(), nullptr);
+            continue;
+          }
+          EXPECT_EQ(eng->quad_fingerprint(), quad.fingerprint());
+          ASSERT_NE(gen->quad, nullptr);
+          ASSERT_NE(gen->rtree.ready(), nullptr);
+          EXPECT_EQ(test::tree_fingerprint(*gen->quad),
+                    test::tree_fingerprint(quad));
+          EXPECT_EQ(test::tree_fingerprint(*gen->rtree.ready()),
+                    test::tree_fingerprint(rtree));
+        }
+      }
+    }
+  }
+}
+
+// A shard build that throws (a non-finite line reaches the builds) makes
+// mount() rethrow before anything swaps: the previous generation stays
+// mounted at its epoch and keeps serving exact answers.
+TEST(ClusterMount, ThrowingBuildKeepsPreviousGeneration) {
+  const auto lines = make_map("roads", 400, 91);
+  const Oracle oracle(lines);
+  serve::Cluster cluster(cluster_options(4, true));
+  cluster.mount(lines, mount_options());
+
+  auto bad = make_map("uniform", 400, 92);
+  geom::Segment poison;
+  poison.a = {10.0, 10.0};
+  poison.b = {10.0, std::numeric_limits<double>::infinity()};
+  poison.id = 1u << 30;
+  bad.push_back(poison);
+  EXPECT_THROW(cluster.mount(bad, mount_options()), core::GeometryError);
+  EXPECT_EQ(cluster.mount_epoch(), 1u);
+
+  const auto batch = random_requests(lines, 200, 93);
+  const auto responses = cluster.serve(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_exact(batch[i], responses[i], oracle, i);
+  }
 }
 
 // Satellite: the engine's mount generation is monotonic and counts every

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,59 @@ TEST(ThreadPool, DestructionWhileWorkersParked) {
     std::atomic<int> total{0};
     pool.run(3, [&](std::size_t) { total++; });
     EXPECT_EQ(total.load(), 3);
+  }
+}
+
+TEST(ThreadPool, ForkJoinRunsEveryTaskOnce) {
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 64u}) {
+    std::vector<std::atomic<int>> hits(n);
+    fork_join(n, [&](std::size_t i) { hits[i]++; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n = " << n;
+  }
+}
+
+// Helpers claim tasks in index order, so the first `lanes` tasks start
+// together: with at least two hardware threads, task 0 can wait for task 1
+// to start (a serial schedule would deadlock here, hence the time bound).
+TEST(ThreadPool, ForkJoinRunsTasksSideBySide) {
+  if (std::thread::hardware_concurrency() <= 1) {
+    GTEST_SKIP() << "one hardware thread: fork_join runs inline";
+  }
+  std::atomic<bool> second_started{false};
+  bool overlapped = false;
+  fork_join(2, [&](std::size_t i) {
+    if (i == 1) {
+      second_started.store(true);
+      return;
+    }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!second_started.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+    overlapped = second_started.load();
+  });
+  EXPECT_TRUE(overlapped);
+}
+
+// A throwing task surfaces as the call's exception, after the tasks that
+// already started have finished; the first failure stops the rest.
+TEST(ThreadPool, ForkJoinRethrowsAfterJoin) {
+  for (const std::size_t n : {1u, 3u, 16u}) {
+    std::atomic<int> finished{0};
+    EXPECT_THROW(fork_join(n,
+                           [&](std::size_t i) {
+                             if (i == 0) throw std::runtime_error("task 0");
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                             finished.fetch_add(1);
+                           }),
+                 std::runtime_error);
+    // Nothing runs behind the caller's back once fork_join returned.
+    const int settled = finished.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(finished.load(), settled) << "n = " << n;
+    EXPECT_LT(settled, static_cast<int>(n)) << "n = " << n;
   }
 }
 
